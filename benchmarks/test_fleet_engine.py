@@ -104,7 +104,7 @@ def test_raw_engine_step_throughput(benchmark):
     cluster = Cluster("plant")
     for i in range(N_SERVERS):
         cluster.add_server(Server(make_server_spec(name=f"s{i}")))
-    engine = FleetThermalEngine(cluster.servers)
+    engine = FleetThermalEngine(cluster.fleet_state)
     utilization = np.full(N_SERVERS, 0.7)
 
     def thousand_steps():

@@ -1,9 +1,8 @@
 """Setup shim.
 
-The offline environment ships setuptools without the ``wheel`` package,
-so PEP 517 editable installs (which build an editable wheel) fail; this
-shim lets ``pip install -e .`` fall back to the legacy develop install.
-All metadata lives in pyproject.toml.
+Carries no package metadata. The supported setup is
+``export PYTHONPATH=src`` from the repository root (see the README's
+Install section).
 """
 
 from setuptools import setup

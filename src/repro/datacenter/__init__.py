@@ -9,7 +9,6 @@ thermal plant of :mod:`repro.thermal`.
 
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.events import Event, EventQueue, FunctionEvent
-from repro.datacenter.fleet_load import FleetLoadModel
 from repro.datacenter.migration import MigrationPlan, plan_migration
 from repro.datacenter.resources import ResourceCapacity, ResourceDemand
 from repro.datacenter.scheduler import (
@@ -42,7 +41,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "FirstFitScheduler",
-    "FleetLoadModel",
     "FunctionEvent",
     "HostLoad",
     "MigrationPlan",

@@ -17,10 +17,8 @@ class Cluster:
     The cluster owns a :class:`~repro.datacenter.fleetstate.FleetState`:
     every server added is registered into it (slot order = insertion
     order), turning the server/VM objects into views over contiguous
-    arrays. A server already bound to *another* cluster's state keeps
-    its original binding and is tracked in :attr:`foreign_servers`; its
-    presence degrades the simulation to the legacy per-object path but
-    changes no behavior.
+    arrays. A server belongs to at most one cluster: adding a server
+    already bound to another cluster's state is an error.
     """
 
     def __init__(self, name: str = "cluster") -> None:
@@ -30,7 +28,6 @@ class Cluster:
         self._servers: dict[str, Server] = {}
         self._racks: dict[str, list[str]] = {}
         self.fleet_state = FleetState()
-        self._foreign: list[str] = []
 
     # -- membership ----------------------------------------------------------
 
@@ -38,17 +35,13 @@ class Cluster:
         """Add a server to the cluster under the given rack."""
         if server.name in self._servers:
             raise SimulationError(f"duplicate server name {server.name!r}")
+        if server._fs is not None:
+            raise SimulationError(
+                f"server {server.name!r} already belongs to another cluster"
+            )
         self._servers[server.name] = server
         self._racks.setdefault(rack, []).append(server.name)
-        if server._fs is None:
-            self.fleet_state.register_server(server)
-        elif server._fs is not self.fleet_state:
-            self._foreign.append(server.name)
-
-    @property
-    def foreign_servers(self) -> list[str]:
-        """Servers bound to another cluster's fleet state (legacy path)."""
-        return list(self._foreign)
+        self.fleet_state.register_server(server)
 
     def server(self, name: str) -> Server:
         """Look up a server by name."""
@@ -78,13 +71,12 @@ class Cluster:
     def find_vm(self, vm_name: str) -> tuple[Vm, Server]:
         """Locate a VM and its current host.
 
-        O(1) through the fleet-state ownership index when every server
-        is registered and VM names are unique; otherwise falls back to
-        the insertion-order scan (same result by construction — names
-        are unique within a server dict).
+        O(1) through the fleet-state ownership index when VM names are
+        unique; otherwise falls back to the insertion-order scan (same
+        result by construction — names are unique within a server dict).
         """
         fs = self.fleet_state
-        if not self._foreign and fs.vm_names_unique:
+        if fs.vm_names_unique:
             slot = fs.vm_index.get(vm_name)
             if slot is not None:
                 server_slot = int(fs.vm_server[slot])

@@ -2,8 +2,9 @@
 
 The scalar path asks every server's VMM to ``schedule()`` per step —
 dict-building Python that dominates co-simulation cost at fleet scale
-(half the step budget at 128 servers). This module packs the whole
-cluster's workload into flat NumPy arrays and reproduces the
+(half the step budget at 128 servers). This module reads the whole
+cluster's workload from the flat arrays of a
+:class:`~repro.datacenter.fleetstate.FleetState` and reproduces the
 proportional-share arbitration of :class:`~repro.datacenter.vmm.Vmm` in
 a handful of vectorized operations per step.
 
@@ -13,10 +14,10 @@ are evaluated entirely in NumPy; stateful or user-defined tasks (e.g.
 call per task per step, so a single exotic task never forces a whole
 server — let alone the fleet — off the fast path.
 
-The model is a snapshot of VM placement and lifecycle state: the caller
-must rebuild it whenever events (migrations, arrivals, terminations, fan
-or overhead changes) may have mutated the cluster, exactly like the
-engine-repack protocol of :mod:`repro.thermal.fleet`.
+Nothing needs rebuilding after events: placement, lifecycle and
+overhead inputs live in the fleet state, and the view re-derives its
+dense gather indices itself when the placement or task generation
+moves.
 
 In the paper's terms this is the VMM-statistics source feeding the ξ_VM
 side of the Eq. (2) input record: per-VM demand aggregates into host
@@ -33,172 +34,29 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datacenter.vm import RUNNING_CODES
-from repro.datacenter.workload import ConstantTask, PeriodicTask, RampTask
 
 _TWO_PI = 2.0 * np.pi
 
 
-class FleetLoadModel:
-    """Batched utilization evaluation for a list of servers.
-
-    Parameters
-    ----------
-    servers:
-        Servers whose load should be arbitrated; the arrays returned by
-        :meth:`utilizations` are indexed like this list.
-    """
-
-    def __init__(self, servers: list) -> None:
-        self.servers = list(servers)
-        n_servers = len(self.servers)
-
-        cores: list[float] = []
-        overhead: list[float] = []
-        vm_counts: list[int] = []
-        vm_server: list[int] = []
-        vm_cap: list[float] = []
-        vm_start: list[float] = []
-
-        const_vm: list[int] = []
-        const_level: list[float] = []
-        per_vm: list[int] = []
-        per_mean: list[float] = []
-        per_amp: list[float] = []
-        per_period: list[float] = []
-        per_phase: list[float] = []
-        ramp_vm: list[int] = []
-        ramp_start: list[float] = []
-        ramp_end: list[float] = []
-        ramp_s: list[float] = []
-        generic: list[tuple[int, object]] = []
-
-        for s_idx, server in enumerate(self.servers):
-            vmm = server.vmm
-            running = server.running_vms()
-            vm_counts.append(len(running))
-            cores.append(float(vmm.physical_cores))
-            raw_overhead = (
-                vmm.overhead_cores_per_vm * len(running)
-                + vmm.migration_overhead_cores * server.active_migrations
-            )
-            overhead.append(min(raw_overhead, float(vmm.physical_cores)))
-            for vm in running:
-                v_idx = len(vm_server)
-                vm_server.append(s_idx)
-                vm_cap.append(float(vm.spec.vcpus))
-                vm_start.append(vm.started_at_s)
-                for task in vm.spec.tasks:
-                    if type(task) is ConstantTask:
-                        const_vm.append(v_idx)
-                        const_level.append(task.level)
-                    elif type(task) is PeriodicTask:
-                        per_vm.append(v_idx)
-                        per_mean.append(task.mean)
-                        per_amp.append(task.amplitude)
-                        per_period.append(task.period_s)
-                        per_phase.append(task.phase_s)
-                    elif type(task) is RampTask:
-                        ramp_vm.append(v_idx)
-                        ramp_start.append(task.start_level)
-                        ramp_end.append(task.end_level)
-                        ramp_s.append(task.ramp_s)
-                    else:
-                        generic.append((v_idx, task))
-
-        self.n_servers = n_servers
-        self.n_vms = len(vm_server)
-        self.vm_counts = np.array(vm_counts, dtype=float)
-        self._cores = np.array(cores, dtype=float)
-        self._overhead = np.array(overhead, dtype=float)
-        self._available = self._cores - self._overhead
-        self._vm_server = np.array(vm_server, dtype=np.intp)
-        self._vm_cap = np.array(vm_cap, dtype=float)
-        self._vm_start = np.array(vm_start, dtype=float)
-
-        self._const_vm = np.array(const_vm, dtype=np.intp)
-        self._const_level = np.array(const_level, dtype=float)
-        self._per_vm = np.array(per_vm, dtype=np.intp)
-        self._per_mean = np.array(per_mean, dtype=float)
-        self._per_amp = np.array(per_amp, dtype=float)
-        self._per_period = np.array(per_period, dtype=float)
-        self._per_phase = np.array(per_phase, dtype=float)
-        self._ramp_vm = np.array(ramp_vm, dtype=np.intp)
-        self._ramp_start = np.array(ramp_start, dtype=float)
-        self._ramp_end = np.array(ramp_end, dtype=float)
-        self._ramp_span = self._ramp_end - self._ramp_start
-        self._ramp_s = np.array(ramp_s, dtype=float)
-        self._generic = generic
-
-    def utilizations(self, time_s: float) -> np.ndarray:
-        """Host CPU utilization per server at ``time_s``.
-
-        Mirrors :meth:`repro.datacenter.vmm.Vmm.schedule`: per-VM demand
-        is the sum of its tasks' utilizations capped at the vCPU count;
-        demand above the post-overhead core budget is scaled down
-        proportionally; host utilization is allocated-plus-overhead over
-        physical cores, clamped at 1.
-        """
-        if self.n_vms == 0:
-            return np.minimum(1.0, self._overhead / self._cores)
-        local_t = np.maximum(0.0, time_s - self._vm_start)
-
-        demand = np.zeros(self.n_vms, dtype=float)
-        if self._const_vm.size:
-            np.add.at(demand, self._const_vm, self._const_level)
-        if self._per_vm.size:
-            angle = _TWO_PI * (local_t[self._per_vm] + self._per_phase) / self._per_period
-            u = self._per_mean + self._per_amp * np.sin(angle)
-            np.add.at(demand, self._per_vm, np.minimum(1.0, np.maximum(0.0, u)))
-        if self._ramp_vm.size:
-            t = local_t[self._ramp_vm]
-            frac = np.maximum(0.0, t / self._ramp_s)
-            u = np.where(
-                t >= self._ramp_s,
-                self._ramp_end,
-                self._ramp_start + self._ramp_span * frac,
-            )
-            np.add.at(demand, self._ramp_vm, u)
-        for v_idx, task in self._generic:
-            demand[v_idx] += task.utilization(local_t[v_idx])
-        demand = np.minimum(self._vm_cap, demand)
-
-        total = np.bincount(self._vm_server, weights=demand, minlength=self.n_servers)
-        contended = total > self._available
-        if contended.any():
-            scale = np.where(
-                contended, self._available / np.where(contended, total, 1.0), 1.0
-            )
-            allocations = demand * scale[self._vm_server]
-            used = (
-                np.bincount(self._vm_server, weights=allocations, minlength=self.n_servers)
-                + self._overhead
-            )
-        else:
-            used = total + self._overhead
-        return np.minimum(1.0, used / self._cores)
-
-
 class FleetLoadView:
-    """Zero-rebuild counterpart of :class:`FleetLoadModel` over a
+    """Batched utilization evaluation over a
     :class:`~repro.datacenter.fleetstate.FleetState`.
 
-    Where :class:`FleetLoadModel` re-walks every server/VM/task after any
-    placement change, this view reads the fleet-state arrays directly:
-    closed-form task parameters already live in VM-slot space, overhead
-    inputs (running counts, migration counts, per-VM overhead) are
-    per-server columns, and only the *dense gather indices* (which slots
-    are running, on which server) need recomputing — lazily, when the
-    placement generation moves.
+    The view reads the fleet-state arrays directly: closed-form task
+    parameters already live in VM-slot space, overhead inputs (running
+    counts, migration counts, per-VM overhead) are per-server columns,
+    and only the *dense gather indices* (which slots are running, on
+    which server) need recomputing — lazily, when the placement
+    generation moves.
 
     Parity: demand is evaluated for every registered slot (the values
     are elementwise, so extra slots are free of ordering effects) and
-    then gathered in server-major dict-insertion order — the exact
-    accumulation order of the rebuild path — so ``utilizations`` is
-    bit-identical to a freshly built :class:`FleetLoadModel` over the
-    same cluster (``tests/integration/test_soa_parity.py``). Stateful
-    (generic) tasks are only ever evaluated for running VMs, in the same
-    order as the rebuild path, so their internal RNG state advances
-    identically.
+    then gathered in server-major dict-insertion order — the order in
+    which each server's VMM sums its VMs — so ``utilizations`` is
+    bit-identical to per-server ``Vmm.schedule``
+    (``tests/integration/test_soa_parity.py``). Stateful (generic) tasks
+    are only ever evaluated for running VMs, in the same order as the
+    per-server path, so their internal RNG state advances identically.
     """
 
     def __init__(self, fs) -> None:
@@ -231,8 +89,14 @@ class FleetLoadView:
         self._task_gen = fs.task_generation
 
     def utilizations(self, time_s: float) -> np.ndarray:
-        """Host CPU utilization per server at ``time_s`` (same contract
-        as :meth:`FleetLoadModel.utilizations`)."""
+        """Host CPU utilization per server at ``time_s``, in slot order.
+
+        Mirrors :meth:`repro.datacenter.vmm.Vmm.schedule`: per-VM demand
+        is the sum of its tasks' utilizations capped at the vCPU count;
+        demand above the post-overhead core budget is scaled down
+        proportionally; host utilization is allocated-plus-overhead over
+        physical cores, clamped at 1.
+        """
         fs = self.fs
         if (
             fs.placement_generation != self._placement_gen

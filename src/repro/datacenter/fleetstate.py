@@ -1,12 +1,11 @@
 """Structure-of-arrays fleet state: contiguous truth, objects as views.
 
-Every layer of the co-simulation is vectorized, but until this module
-the fleet itself was built from per-:class:`~repro.datacenter.server.Server`
-/ per-:class:`~repro.datacenter.vm.Vm` Python objects that the hot loops
-repeatedly gathered from: ``FleetLoadModel.__init__`` re-walked every
-server, VM, and task after *any* placement change, the thermal engine
-repacked plant state around every event, and admission checks re-summed
-``server.vms`` per call.
+Every layer of the co-simulation is vectorized, but a fleet built only
+from per-:class:`~repro.datacenter.server.Server` /
+per-:class:`~repro.datacenter.vm.Vm` Python objects forces the hot
+loops to gather from them: re-walking every server, VM, and task after
+*any* placement change, repacking plant state around every event, and
+re-summing ``server.vms`` per admission check.
 
 :class:`FleetState` inverts the ownership. Fleet truth lives in
 contiguous NumPy arrays — server × attribute (capacity, committed
@@ -42,7 +41,9 @@ bound only when it is *exactly* the standard model
 (:class:`~repro.thermal.server_thermal.ServerThermalModel` with a
 :class:`~repro.thermal.power.CpuPowerModel` and a
 :class:`~repro.thermal.fan.FanBank`); custom subclasses keep their own
-state and force the simulation onto the legacy repack path.
+state, and a cluster carrying one is simulated on the per-server
+reference path. A server binds to one state for life, so a cluster
+rejects a server already registered elsewhere.
 
 Parity contract: the arrays preserve *order*. Per-server VM slots are
 kept in dict-insertion order and committed-capacity counters are

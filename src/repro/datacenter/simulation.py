@@ -14,36 +14,30 @@ The step size bounds event-timing error at dt/2, far below the thermal
 time constants (minutes), so events landing mid-step are indistinguishable
 from reality at sensor resolution.
 
-Three execution paths implement step 2–3:
+Two execution paths implement step 2–3:
 
 * the **structure-of-arrays path** (default whenever every cluster
   server is bound into the cluster's
-  :class:`~repro.datacenter.fleetstate.FleetState`) aliases the shared
-  fleet-state arrays directly: the thermal engine integrates them in
-  place (:meth:`~repro.thermal.fleet.FleetThermalEngine.over_state`),
-  the load view (:class:`~repro.datacenter.fleet_load.FleetLoadView`)
-  re-derives its gather indices only when the placement generation
-  moves, and there is *no* per-step writeback or repack — the server/VM
-  objects are views over the same arrays, so events and probes always
-  observe truthful state for free. After probes run, the fleet-state
-  generation counter decides whether anything must be refreshed.
-  Probe mutations must go through the public APIs (``set_fan_speed``/
-  ``set_fan_count``, VM placement, ``set_temperatures``, migration
-  bookkeeping); swapping a server's ``thermal`` plant object wholesale
-  must happen through a scheduled event (the event boundary re-checks
-  eligibility and drops to the legacy path);
-* the **legacy fleet path** packs standard servers into a fresh
-  :class:`~repro.thermal.fleet.FleetThermalEngine` plus a
-  :class:`~repro.datacenter.fleet_load.FleetLoadModel` and writes array
-  state back to the per-server plants before events fire, before probes
-  run, and at the end of each ``run`` — repacking after events, and
-  after probes that actually mutated a server. It serves clusters the
-  SoA path cannot cover (custom plants, foreign servers);
-* the **per-server path** (``use_fleet_engine=False``, and automatically
-  for any server carrying a custom thermal plant) iterates servers in
-  Python exactly as the original implementation did.
+  :class:`~repro.datacenter.fleetstate.FleetState` with a standard
+  plant, ``fs.covers``) aliases the shared fleet-state arrays directly:
+  the :class:`~repro.thermal.fleet.FleetThermalEngine` integrates them
+  in place, the load view
+  (:class:`~repro.datacenter.fleet_load.FleetLoadView`) re-derives its
+  gather indices only when the placement generation moves, and there is
+  *no* per-step writeback or repack — the server/VM objects are views
+  over the same arrays, so events and probes always observe truthful
+  state for free. After probes run, the fleet-state generation counter
+  decides whether anything must be refreshed. Probe mutations must go
+  through the public APIs (``set_fan_speed``/``set_fan_count``, VM
+  placement, ``set_temperatures``, migration bookkeeping); swapping a
+  server's ``thermal`` plant object wholesale must happen through a
+  scheduled event (the event boundary re-checks eligibility);
+* the **per-server reference path** (``use_fleet_engine=False``, and
+  automatically for the whole cluster while any server carries a custom
+  thermal plant) iterates servers in Python exactly as the original
+  implementation did.
 
-All paths produce the same trajectories to floating-point round-off and
+Both paths produce the same trajectories to floating-point round-off and
 identical sensor readings (``tests/thermal/test_fleet_parity.py``,
 ``tests/integration/test_soa_parity.py``).
 
@@ -62,8 +56,8 @@ from typing import Callable
 from repro.config import SensorConfig
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.events import Event, EventQueue
-from repro.datacenter.fleet_load import FleetLoadModel, FleetLoadView
-from repro.datacenter.fleetstate import FleetState as _SoaState
+from repro.datacenter.fleet_load import FleetLoadView
+from repro.datacenter.fleetstate import FleetState
 from repro.errors import SimulationError
 from repro.rng import RngFactory
 from repro.thermal.environment import ConstantEnvironment, EnvironmentProfile
@@ -104,65 +98,16 @@ class _IntervalGate:
 
 
 @dataclass
-class _FleetState:
-    """Vectorized view of the cluster, valid until the next mutation."""
-
-    engine: FleetThermalEngine
-    load: FleetLoadModel
-    sensor_bank: SensorBank
-    names: list[str]
-    slow_servers: list
-    n_cluster_servers: int
-
-    def __post_init__(self) -> None:
-        # Fingerprint of the mutable per-server state probes may touch;
-        # used to skip the O(cluster) repack after read-only probes.
-        self._fans = [server.fans for server in self.engine.servers]
-        self._migrations = [server.active_migrations for server in self.engine.servers]
-        self._vm_counts = [len(server.vms) for server in self.engine.servers]
-
-    def sync(self) -> None:
-        """Write array state back into the per-server objects."""
-        self.engine.writeback()
-        self.sensor_bank.writeback()
-
-    def dirty(self, cluster: Cluster) -> bool:
-        """Did anything a probe can legitimately mutate change?
-
-        Covers the documented mutation surface: fan retuning (replaces the
-        ``FanBank`` value object), VM placement/removal, migration
-        bookkeeping, forced plant temperatures, and cluster membership.
-        Probes mutating state outside these APIs must go through scheduled
-        events instead. Assumes :meth:`sync` ran just before the probes,
-        so surviving plant temperatures equal the engine arrays.
-        """
-        if len(cluster.servers) != self.n_cluster_servers:
-            return True
-        t_cpu = self.engine.cpu_temperatures_view()
-        t_case = self.engine.case_temperatures_view()
-        for i, server in enumerate(self.engine.servers):
-            if (
-                server.fans is not self._fans[i]
-                or server.active_migrations != self._migrations[i]
-                or len(server.vms) != self._vm_counts[i]
-                or server.thermal.cpu_temperature_c != t_cpu[i]
-                or server.thermal.case_temperature_c != t_case[i]
-            ):
-                return True
-        return False
-
-
-@dataclass
 class _SoaFleet:
     """Zero-copy fleet view over the cluster's shared ``FleetState``.
 
-    Unlike :class:`_FleetState`, nothing here owns state: the engine's
-    arrays alias the fleet-state buffers and the load view reads them
-    directly, so there is no writeback and no repack — only the sensor
-    bank (schedule grid) needs syncing at observation boundaries.
+    Nothing here owns state: the engine's arrays alias the fleet-state
+    buffers and the load view reads them directly, so there is no
+    writeback and no repack — only the sensor bank (schedule grid) needs
+    syncing, before events fire and when the view is dropped.
     """
 
-    fs: _SoaState
+    fs: FleetState
     engine: FleetThermalEngine
     load: FleetLoadView
     sensor_bank: SensorBank
@@ -223,13 +168,13 @@ class DatacenterSimulation:
         self._probes: list[Probe] = []
         self._telemetry = None  # lazily built so cluster can be mutated first
         self._sensors: dict[str, TemperatureSensor] = {}
-        self._fleet: _FleetState | _SoaFleet | None = None
+        self._fleet: _SoaFleet | None = None
         self._recording = True
         #: On structure-of-arrays steps: the step's sensor samples as
         #: ``[(server_name, time_s, value_c), ...]`` in cluster order —
         #: a fast path for per-step probes (e.g. the prediction probe)
         #: that would otherwise force a telemetry flush to discover new
-        #: readings. ``None`` on every other path.
+        #: readings. ``None`` on reference steps.
         self.fleet_cpu_samples: list[tuple[str, float, float]] | None = None
 
     # -- wiring -----------------------------------------------------------
@@ -296,11 +241,7 @@ class DatacenterSimulation:
             self._fleet_rebuild()
         try:
             while self.time_s < end_time - 1e-9:
-                dt = min(self.time_step_s, end_time - self.time_s)
-                if self._fleet is None:
-                    self._step(dt)
-                else:
-                    self._fleet_step(dt)
+                self._step(min(self.time_step_s, end_time - self.time_s))
         finally:
             if self._fleet is not None:
                 self._fleet.sync()
@@ -308,13 +249,69 @@ class DatacenterSimulation:
                 self._fleet = None
             self.fleet_cpu_samples = None
 
-    # -- per-server (reference) path -----------------------------------------
-
     def _step(self, dt: float) -> None:
+        """Fire the step's due events, then run one step body.
+
+        Events fire exactly once, before the body is chosen, so an event
+        that makes the cluster ineligible for the fleet path (e.g. a
+        plant swap) finishes its own step on the reference body.
+        """
         new_time = self.time_s + dt
         self.time_s = new_time
+        next_event = self.events.peek_time()
+        if next_event is not None and next_event <= new_time + 1e-9:
+            if self._fleet is not None:
+                self._fleet.sync()
+            self._fire_due_events()
+            if self.use_fleet_engine:
+                self._fleet_rebuild()
+        if self._fleet is None:
+            self._reference_body(dt, new_time)
+        else:
+            self._soa_body(dt, new_time)
+
+    def _fleet_rebuild(self) -> None:
+        """Point the fleet path at the cluster's current ``FleetState``.
+
+        When every cluster server is bound into the cluster's shared
+        state (``fs.covers``: standard plants, registration order), the
+        "rebuild" is a handful of array slices — and if a view over the
+        same state already exists with unchanged membership, it is kept
+        as-is (nothing to do: the arrays are truth). Otherwise the fleet
+        view is dropped (after syncing its sensor schedules) and steps
+        run on the reference body until an event boundary finds the
+        cluster eligible again.
+        """
+        cluster = self.cluster
+        fs = cluster.fleet_state
+        eligible = fs.covers(cluster.servers)
+        fleet = self._fleet
+        if fleet is not None:
+            if (
+                eligible
+                and fleet.fs is fs
+                and fleet.membership_gen == fs.membership_generation
+            ):
+                return
+            fleet.sync()
+            self._fleet = None
+        if not eligible:
+            return
+        names = list(fs.server_names)
+        self._fleet = _SoaFleet(
+            fs=fs,
+            engine=FleetThermalEngine(fs),
+            load=FleetLoadView(fs),
+            sensor_bank=SensorBank([self.sensor_for(name) for name in names]),
+            names=names,
+            membership_gen=fs.membership_generation,
+        )
+
+    # -- step bodies ----------------------------------------------------------
+
+    def _reference_body(self, dt: float, new_time: float) -> None:
+        """One step on the per-server reference path."""
         self.fleet_cpu_samples = None
-        self._fire_due_events()
         ambient = self.environment.temperature(new_time)
         recording = self._recording
         if recording:
@@ -335,136 +332,15 @@ class DatacenterSimulation:
         for probe in self._probes:
             probe(self, new_time)
 
-    # -- vectorized fleet path ------------------------------------------------
-
-    def _fleet_rebuild(self) -> None:
-        """(Re)pack the cluster into vectorized fleet state.
-
-        Prefers the structure-of-arrays path: when every cluster server
-        is bound into the cluster's shared ``FleetState`` (standard
-        plants, no foreign servers), the "rebuild" is a handful of array
-        slices — and if a SoA view over the same state already exists
-        with unchanged membership, it is kept as-is (nothing to do: the
-        arrays are truth). Otherwise falls back to the legacy repack.
-
-        Callers sync the outgoing fleet before rebuilding (observation-
-        boundary contract); the defensive sync here only covers the
-        SoA ↔ legacy transitions and is a no-op when already synced.
-        """
-        cluster = self.cluster
-        fs = cluster.fleet_state
-        servers = cluster.servers
-        if not cluster._foreign and fs.covers(servers):
-            fleet = self._fleet
-            if (
-                type(fleet) is _SoaFleet
-                and fleet.fs is fs
-                and fleet.membership_gen == fs.membership_generation
-            ):
-                return
-            if fleet is not None:
-                fleet.sync()
-            names = list(fs.server_names)
-            self._fleet = _SoaFleet(
-                fs=fs,
-                engine=FleetThermalEngine.over_state(fs),
-                load=FleetLoadView(fs),
-                sensor_bank=SensorBank([self.sensor_for(name) for name in names]),
-                names=names,
-                membership_gen=fs.membership_generation,
-            )
-            return
-        fleet = self._fleet
-        if fleet is not None:
-            fleet.sync()
-        fast, slow = FleetThermalEngine.partition(servers)
-        names = [server.name for server in fast]
-        self._fleet = _FleetState(
-            engine=FleetThermalEngine(fast),
-            load=FleetLoadModel(fast),
-            sensor_bank=SensorBank([self.sensor_for(name) for name in names]),
-            names=names,
-            slow_servers=slow,
-            n_cluster_servers=len(servers),
-        )
-
-    def _fleet_step(self, dt: float) -> None:
-        new_time = self.time_s + dt
-        self.time_s = new_time
-        next_event = self.events.peek_time()
-        if next_event is not None and next_event <= new_time + 1e-9:
-            self._fleet.sync()
-            self._fire_due_events()
-            self._fleet_rebuild()
-        if type(self._fleet) is _SoaFleet:
-            self._soa_body(dt, new_time)
-        else:
-            self._legacy_fleet_body(dt, new_time)
-
-    def _legacy_fleet_body(self, dt: float, new_time: float) -> None:
-        fleet = self._fleet
-        self.fleet_cpu_samples = None
-        ambient = self.environment.temperature(new_time)
-        recording = self._recording
-        telemetry = self.telemetry
-        if recording:
-            telemetry.record_environment(new_time, ambient)
-
-        utilization = fleet.load.utilizations(new_time)
-        fleet.engine.step(dt, utilization, ambient)
-        if recording:
-            telemetry.record_fleet_step(
-                new_time,
-                fleet.names,
-                utilization,
-                fleet.load.vm_counts,
-                fleet.engine.fan_counts,
-                fleet.engine.fan_speeds,
-            )
-            due, values = fleet.sensor_bank.sample_due(
-                new_time, fleet.engine.cpu_temperatures_view()
-            )
-            if due.size == len(fleet.names):
-                telemetry.record_fleet_cpu_samples(new_time, fleet.names, values)
-            else:
-                for idx, value in zip(due.tolist(), values.tolist()):
-                    telemetry.append_cpu_sample(fleet.names[idx], new_time, value)
-
-        for server in fleet.slow_servers:
-            load = server.step_thermal(dt, new_time, ambient)
-            if not recording:
-                continue
-            bundle = telemetry.for_server(server.name)
-            bundle.utilization.append(new_time, load.utilization)
-            bundle.vm_count.append(new_time, len(server.running_vms()))
-            bundle.fan_count.append(new_time, server.fans.count)
-            bundle.fan_speed.append(new_time, server.fans.speed)
-            sensor = self.sensor_for(server.name)
-            reading = sensor.maybe_sample(new_time, server.thermal.cpu_temperature_c)
-            if reading is not None:
-                bundle.cpu_temperature.append(reading.time_s, reading.temperature_c)
-
-        if self._probes:
-            # Probes may read or mutate any server (fan controllers do), so
-            # hand them truthful plants — and repack only if one actually
-            # mutated something, keeping read-only monitors on the fast
-            # path. Pending telemetry columns flush lazily when a probe
-            # reads through any collector entrypoint (e.g. for_server).
-            fleet.sync()
-            for probe in self._probes:
-                probe(self, new_time)
-            if fleet.dirty(self.cluster):
-                self._fleet_rebuild()
-
     def _soa_body(self, dt: float, new_time: float) -> None:
         """One step on the structure-of-arrays path.
 
         No writeback, no repack: the engine integrates the fleet-state
         arrays in place and every server/VM object is a view over them,
         so probes and events always see truthful state. Probe mutations
-        are detected by the fleet-state generation counter (O(1) instead
-        of the legacy O(fleet) dirty scan), and the follow-up "rebuild"
-        is itself a no-op unless cluster membership changed.
+        are detected in O(1) by the fleet-state generation counter, and
+        the follow-up "rebuild" is itself a no-op unless cluster
+        membership changed.
         """
         fleet = self._fleet
         ambient = self.environment.temperature(new_time)

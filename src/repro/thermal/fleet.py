@@ -3,9 +3,9 @@
 The per-server :class:`~repro.thermal.server_thermal.ServerThermalModel`
 advances one two-lump RC plant per Python call; fine for a handful of
 servers, hopeless for the hundreds-of-hosts scale of ThermoSim-class
-simulators. This module packs the *entire cluster's* plant state into
+simulators. This module reads the *entire cluster's* plant state from
 contiguous NumPy arrays — CPU/case lump temperatures, RC constants,
-power-model coefficients, and fan operating points — and advances every
+power-model coefficients, and fan-derived case terms — and advances every
 server in a single :meth:`FleetThermalEngine.step` call.
 
 The vectorized update replicates the scalar pipeline operation-for-
@@ -17,15 +17,15 @@ the per-server solver to floating-point round-off:
 ``Ṫ_cpu  = (P_cpu + q) / C_cpu``
 ``Ṫ_case = (P_case − q + (T_amb − T_case)/R_case) / C_case``
 
-Ownership protocol: while an engine is live, its arrays are the
-authoritative plant state. :meth:`writeback` pushes the state back into
-each server's ``ServerThermalModel`` (before events fire, before probes
-run, and at the end of a run); after events or probes may have mutated
-servers, the caller rebuilds the engine so retuned fans, migrated VMs,
-or forced temperatures are repacked. Servers carrying a *custom* plant
-(any subclass of ``ServerThermalModel``, or non-standard power/fan
-models) are excluded by :meth:`FleetThermalEngine.partition` and must be
-stepped per-server by the caller.
+The engine owns no state: its arrays are zero-copy slices of a
+:class:`~repro.datacenter.fleetstate.FleetState`, so :meth:`step`
+integrates the shared buffers in place and every bound
+``ServerThermalModel`` sees the new temperatures at once — there is
+nothing to write back. The simulation builds an engine only when the
+fleet state covers every cluster server (standard plants); a cluster
+carrying a custom plant (any subclass of ``ServerThermalModel``, or
+non-standard power/fan models) is stepped on the per-server reference
+path instead.
 
 This engine is the *simulation* half of the fleet story: it produces
 the temperature traces the paper's method consumes. The *prediction*
@@ -42,136 +42,43 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.thermal.fan import FanBank
-from repro.thermal.power import CpuPowerModel
-from repro.thermal.server_thermal import ServerThermalModel
 
 
 class FleetThermalEngine:
-    """Batched two-lump RC plants for a list of servers.
+    """Batched two-lump RC plants over a fleet state's servers.
 
     Parameters
     ----------
-    servers:
-        Servers with *standard* plants (see :meth:`supports`); their
-        thermal state is read once at construction and written back via
-        :meth:`writeback`.
+    fs:
+        :class:`~repro.datacenter.fleetstate.FleetState` whose servers
+        all carry bound standard plants (``fs.covers``). The packed
+        arrays are basic slices of its buffers — no copy, no repack.
+        Slices go stale if the state grows, so a membership change
+        requires a fresh engine.
     """
 
-    def __init__(self, servers: list) -> None:
-        for server in servers:
-            if not self.supports(server):
-                raise SimulationError(
-                    f"server {server.name!r} carries a custom thermal plant; "
-                    "step it per-server instead"
-                )
-        self.servers = list(servers)
-        n = len(self.servers)
-        self.time_s = 0.0
-        self._unsynced_s = 0.0
-        #: Per-server plant clocks advanced in-place each step; only set
-        #: on engines built by :meth:`over_state` (fleet-state slices).
-        self._plant_time = None
-
-        self._t_cpu = np.empty(n, dtype=float)
-        self._t_case = np.empty(n, dtype=float)
-        self._c_cpu = np.empty(n, dtype=float)
-        self._c_case = np.empty(n, dtype=float)
-        self._r_die = np.empty(n, dtype=float)
-        self._r_case = np.empty(n, dtype=float)
-        self._p_idle = np.empty(n, dtype=float)
-        self._p_span = np.empty(n, dtype=float)
-        self._p_exp = np.empty(n, dtype=float)
-        self._p_mem = np.empty(n, dtype=float)
-        self._p_case = np.empty(n, dtype=float)
-        self.fan_counts = np.empty(n, dtype=float)
-        self.fan_speeds = np.empty(n, dtype=float)
-
-        for i, server in enumerate(self.servers):
-            plant = server.thermal
-            config = plant.config
-            power = plant.power_model
-            fans = plant.fans
-            self._t_cpu[i] = plant.cpu_temperature_c
-            self._t_case[i] = plant.case_temperature_c
-            self._c_cpu[i] = config.cpu_heat_capacity_j_per_k
-            self._c_case[i] = config.case_heat_capacity_j_per_k
-            self._r_die[i] = config.cpu_to_case_resistance_k_per_w
-            self._r_case[i] = (
-                config.case_to_ambient_resistance_k_per_w * fans.resistance_scale()
-            )
-            self._p_idle[i] = power.idle_power_w
-            self._p_span[i] = power.max_power_w - power.idle_power_w
-            self._p_exp[i] = power.exponent
-            self._p_mem[i] = power.memory_power_w
-            self._p_case[i] = fans.power_w()
-            self.fan_counts[i] = fans.count
-            self.fan_speeds[i] = fans.speed
-
-    # -- construction helpers ---------------------------------------------
-
-    @classmethod
-    def over_state(cls, fs) -> "FleetThermalEngine":
-        """Engine aliasing a :class:`~repro.datacenter.fleetstate.FleetState`.
-
-        The packed arrays are basic slices of the fleet-state buffers —
-        no copy, no repack: :meth:`step` integrates the shared arrays in
-        place, so bound plants (and anything else reading the state) see
-        fresh temperatures immediately and :meth:`writeback` has nothing
-        to push (it only resets the unsynced-time bookkeeping). The
-        caller guarantees every server is bound (``fs.covers``); slices
-        go stale if the state grows, so a membership change requires a
-        fresh engine.
-        """
-        engine = cls.__new__(cls)
-        engine.servers = list(fs.server_objects)
+    def __init__(self, fs) -> None:
         n = fs.n_servers
-        engine.time_s = 0.0
-        engine._unsynced_s = 0.0
-        engine._t_cpu = fs.t_cpu_c[:n]
-        engine._t_case = fs.t_case_c[:n]
-        engine._c_cpu = fs.c_cpu[:n]
-        engine._c_case = fs.c_case[:n]
-        engine._r_die = fs.r_die[:n]
-        engine._r_case = fs.r_case_eff[:n]
-        engine._p_idle = fs.p_idle_w[:n]
-        engine._p_span = fs.p_span_w[:n]
-        engine._p_exp = fs.p_exp[:n]
-        engine._p_mem = fs.p_mem_w[:n]
-        engine._p_case = fs.p_case_fan_w[:n]
-        engine.fan_counts = fs.fan_count[:n]
-        engine.fan_speeds = fs.fan_speed[:n]
-        engine._plant_time = fs.plant_time_s[:n]
-        return engine
-
-    @staticmethod
-    def supports(server) -> bool:
-        """True when a server's plant matches the vectorized model exactly."""
-        return (
-            type(server.thermal) is ServerThermalModel
-            and type(server.thermal.power_model) is CpuPowerModel
-            and type(server.thermal.fans) is FanBank
-        )
-
-    @classmethod
-    def partition(cls, servers: list) -> tuple[list, list]:
-        """Split servers into (vectorizable, custom-plant) lists."""
-        fast = [s for s in servers if cls.supports(s)]
-        slow = [s for s in servers if not cls.supports(s)]
-        return fast, slow
+        self._t_cpu = fs.t_cpu_c[:n]
+        self._t_case = fs.t_case_c[:n]
+        self._c_cpu = fs.c_cpu[:n]
+        self._c_case = fs.c_case[:n]
+        self._r_die = fs.r_die[:n]
+        self._r_case = fs.r_case_eff[:n]
+        self._p_idle = fs.p_idle_w[:n]
+        self._p_span = fs.p_span_w[:n]
+        self._p_exp = fs.p_exp[:n]
+        self._p_mem = fs.p_mem_w[:n]
+        self._p_case = fs.p_case_fan_w[:n]
+        self._plant_time = fs.plant_time_s[:n]
 
     # -- dynamics ----------------------------------------------------------
-
-    @property
-    def n_servers(self) -> int:
-        """Number of servers packed into the engine."""
-        return len(self.servers)
 
     def step(self, dt_s: float, utilization: np.ndarray, ambient_c: float) -> None:
         """Advance every packed plant by ``dt_s`` seconds at once.
 
-        ``utilization`` is indexed like the ``servers`` list passed at
-        construction; ``ambient_c`` is the shared inlet temperature.
+        ``utilization`` is indexed in fleet-state slot order;
+        ``ambient_c`` is the shared inlet temperature.
         """
         if dt_s <= 0:
             raise SimulationError(f"dt_s must be > 0, got {dt_s}")
@@ -184,45 +91,14 @@ class FleetThermalEngine:
         ) / self._c_case
         self._t_cpu += dt_s * d_cpu
         self._t_case += dt_s * d_case
-        self.time_s += dt_s
-        self._unsynced_s += dt_s
-        if self._plant_time is not None:
-            self._plant_time += dt_s
+        self._plant_time += dt_s
 
     # -- observers ---------------------------------------------------------
 
     def cpu_temperatures(self) -> np.ndarray:
-        """True CPU lump temperatures (copy), indexed like ``servers``."""
+        """True CPU lump temperatures (copy), in fleet-state slot order."""
         return self._t_cpu.copy()
-
-    def case_temperatures(self) -> np.ndarray:
-        """True case-air lump temperatures (copy)."""
-        return self._t_case.copy()
 
     def cpu_temperatures_view(self) -> np.ndarray:
         """Zero-copy view of CPU temperatures — treat as read-only."""
         return self._t_cpu
-
-    def case_temperatures_view(self) -> np.ndarray:
-        """Zero-copy view of case temperatures — treat as read-only."""
-        return self._t_case
-
-    # -- synchronization ---------------------------------------------------
-
-    def writeback(self) -> None:
-        """Push the array state back into each server's scalar plant.
-
-        Called before events/probes observe (or mutate) servers and at the
-        end of a run, so ``server.thermal`` stays truthful outside the
-        vectorized hot loop.
-        """
-        elapsed = self._unsynced_s
-        self._unsynced_s = 0.0
-        if self._plant_time is not None:
-            # Fleet-state-backed engine: the shared arrays already ARE
-            # the plant state (bound plants read them directly).
-            return
-        for i, server in enumerate(self.servers):
-            plant = server.thermal
-            plant.set_temperatures(float(self._t_cpu[i]), float(self._t_case[i]))
-            plant.time_s += elapsed

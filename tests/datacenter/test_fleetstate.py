@@ -325,10 +325,12 @@ class TestCoversAndForeign:
         other = Cluster("other")
         shared = make_server("shared")
         other.add_server(shared)
-        bound_cluster.add_server(shared)  # already bound elsewhere
-        assert bound_cluster.foreign_servers == ["shared"]
-        fs = bound_cluster.fleet_state
-        assert not fs.covers(list(bound_cluster.servers))
+        before = list(bound_cluster.servers)
+        with pytest.raises(SimulationError, match="another cluster"):
+            bound_cluster.add_server(shared)  # already bound elsewhere
+        assert bound_cluster.servers == before
+        assert bound_cluster.racks() == {"rack-0": [s.name for s in before]}
+        assert bound_cluster.fleet_state.covers(before)
 
     def test_covers_false_after_plant_swap(self, bound_cluster):
         class CustomPlant:

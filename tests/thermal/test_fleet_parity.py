@@ -158,97 +158,123 @@ class TestTelemetryParity:
         )
 
 
+class TracingPlant(ServerThermalModel):
+    """A custom plant subclass: forces its cluster onto the reference path."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.step_calls = 0
+
+    def step(self, dt_s, utilization, ambient_c):
+        self.step_calls += 1
+        super().step(dt_s, utilization, ambient_c)
+
+
+def swap_in_tracing_plant(server) -> TracingPlant:
+    """Replace ``server``'s plant with a ``TracingPlant`` at the same state."""
+    custom = TracingPlant(
+        power_model=server.spec.build_power_model(),
+        fans=server.fans,
+        config=ThermalConfig(),
+    )
+    custom.set_temperatures(
+        server.thermal.cpu_temperature_c, server.thermal.case_temperature_c
+    )
+    custom.time_s = server.thermal.time_s
+    server.thermal = custom
+    return custom
+
+
+_SERIES = ("cpu_temperature", "utilization", "vm_count", "fan_count", "fan_speed")
+
+
+def assert_bitwise_equal(fleet, reference) -> None:
+    """Every telemetry series, every sensor's readings, and the final
+    plant state must be bitwise equal across the two runs."""
+    assert fleet.telemetry.server_names == reference.telemetry.server_names
+    for name in reference.telemetry.server_names:
+        a = fleet.telemetry.for_server(name)
+        b = reference.telemetry.for_server(name)
+        for series in _SERIES:
+            sa, sb = getattr(a, series), getattr(b, series)
+            assert np.array_equal(sa.times_array(), sb.times_array()), (name, series)
+            assert np.array_equal(sa.values_array(), sb.values_array()), (name, series)
+        assert fleet.sensor_for(name).readings == reference.sensor_for(name).readings
+    assert np.array_equal(
+        fleet.telemetry.environment.values_array(),
+        reference.telemetry.environment.values_array(),
+    )
+    for fleet_server, ref_server in zip(
+        fleet.cluster.servers, reference.cluster.servers
+    ):
+        a, b = fleet_server.thermal, ref_server.thermal
+        assert a.cpu_temperature_c == b.cpu_temperature_c
+        assert a.case_temperature_c == b.case_temperature_c
+        assert a.time_s == b.time_s
+
+
 class TestCustomPlantFallback:
-    class TracingPlant(ServerThermalModel):
-        """A custom plant subclass — must be excluded from the engine."""
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.step_calls = 0
-
-        def step(self, dt_s, utilization, ambient_c):
-            self.step_calls += 1
-            super().step(dt_s, utilization, ambient_c)
-
-    def _with_custom_plant(self, use_fleet: bool) -> DatacenterSimulation:
-        sim = build_mixed_sim(use_fleet=use_fleet, seed=7)
-        server = sim.cluster.server("s5")
-        custom = self.TracingPlant(
-            power_model=server.spec.build_power_model(),
-            fans=server.fans,
-            config=ThermalConfig(),
-        )
-        custom.set_temperatures(
-            server.thermal.cpu_temperature_c, server.thermal.case_temperature_c
-        )
-        server.thermal = custom
-        return sim
-
-    def test_partition_excludes_custom_plants(self):
-        sim = self._with_custom_plant(use_fleet=True)
-        fast, slow = FleetThermalEngine.partition(sim.cluster.servers)
-        assert [s.name for s in slow] == ["s5"]
-        assert len(fast) == N_SERVERS - 1
-
     def test_custom_plant_stepped_per_server_and_matches_reference(self):
-        fleet = self._with_custom_plant(use_fleet=True)
-        reference = self._with_custom_plant(use_fleet=False)
+        fleet = build_mixed_sim(use_fleet=True, seed=7)
+        reference = build_mixed_sim(use_fleet=False, seed=7)
+        swap_in_tracing_plant(fleet.cluster.server("s5"))
+        swap_in_tracing_plant(reference.cluster.server("s5"))
         fleet.run(120.0)
         reference.run(120.0)
         assert fleet.cluster.server("s5").thermal.step_calls == 120
-        for ref_server, fleet_server in zip(
-            reference.cluster.servers, fleet.cluster.servers
-        ):
-            assert fleet_server.thermal.cpu_temperature_c == pytest.approx(
-                ref_server.thermal.cpu_temperature_c, abs=1e-9
+        assert_bitwise_equal(fleet, reference)
+
+    def test_mid_run_plant_swap_matches_reference(self):
+        """A scheduled event swaps in a custom plant mid-run: the fleet
+        run leaves the SoA path at that step and stays bitwise equal to
+        the reference run."""
+
+        def run(use_fleet: bool):
+            sim = build_mixed_sim(use_fleet=use_fleet, seed=13)
+            sim.schedule(
+                FunctionEvent(
+                    250.0, lambda s: swap_in_tracing_plant(s.cluster.server("s6"))
+                )
             )
-        ref = reference.telemetry.for_server("s5")
-        flt = fleet.telemetry.for_server("s5")
-        assert flt.cpu_temperature.values == ref.cpu_temperature.values
-        assert flt.utilization.times == ref.utilization.times
+            soa_steps: list[bool] = []
+            sim.add_probe(
+                lambda s, t: soa_steps.append(s.fleet_cpu_samples is not None)
+            )
+            sim.run(DURATION_S)
+            return sim, soa_steps
+
+        fleet, fleet_soa = run(True)
+        reference, reference_soa = run(False)
+        assert fleet_soa == [True] * 249 + [False] * 351
+        assert not any(reference_soa)
+        assert fleet.cluster.server("s6").thermal.step_calls == 351
+        assert reference.cluster.server("s6").thermal.step_calls == 351
+        assert_bitwise_equal(fleet, reference)
 
 
 class TestEngineUnit:
-    def test_rejects_custom_plant(self):
-        sim = build_mixed_sim(use_fleet=True, seed=9)
-        server = sim.cluster.server("s0")
-
-        class Odd(ServerThermalModel):
-            pass
-
-        server.thermal = Odd(
-            power_model=server.spec.build_power_model(), fans=server.fans
-        )
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            FleetThermalEngine([server])
-
     def test_single_step_matches_scalar_plant(self):
-        sim = build_mixed_sim(use_fleet=True, seed=11)
-        servers = sim.cluster.servers
-        engine = FleetThermalEngine(servers)
+        # Bound plants alias the fleet-state arrays, so the engine runs
+        # over one cluster and the scalar plants step on an identical twin.
+        engine_sim = build_mixed_sim(use_fleet=True, seed=11)
+        scalar_sim = build_mixed_sim(use_fleet=True, seed=11)
+        engine = FleetThermalEngine(engine_sim.cluster.fleet_state)
         expected = []
-        for server in servers:
+        for server in scalar_sim.cluster.servers:
             server.thermal.step(1.0, 0.63, 21.5)
             expected.append(server.thermal.cpu_temperature_c)
-        engine.step(1.0, np.full(len(servers), 0.63), 21.5)
+        engine.step(1.0, np.full(N_SERVERS, 0.63), 21.5)
         np.testing.assert_allclose(engine.cpu_temperatures(), expected, atol=1e-12)
-
-    def test_writeback_restores_plants(self):
-        sim = build_mixed_sim(use_fleet=True, seed=12)
-        servers = sim.cluster.servers
-        engine = FleetThermalEngine(servers)
-        engine.step(1.0, np.full(len(servers), 0.8), 22.0)
-        engine.step(1.0, np.full(len(servers), 0.8), 22.0)
-        engine.writeback()
-        for i, server in enumerate(servers):
-            assert server.thermal.cpu_temperature_c == engine.cpu_temperatures()[i]
+        # The engine stepped the bound plants themselves: no writeback.
+        plants = [server.thermal for server in engine_sim.cluster.servers]
+        temperatures = engine.cpu_temperatures().tolist()
+        assert [p.cpu_temperature_c for p in plants] == temperatures
+        assert all(p.time_s == 1.0 for p in plants)
 
 
 class TestProbeMutationDetection:
     """Read-only probes keep the fleet fast path; mutating probes must be
-    detected and repacked (fleet.dirty fingerprint)."""
+    detected (fleet-state generation counter)."""
 
     def _run_with_probe(self, use_fleet: bool):
         sim = build_mixed_sim(use_fleet=use_fleet, seed=21)
