@@ -7,11 +7,16 @@ experiment cases with 2-12 VMs" — and a dedicated builder produces the
 two-server migration scenario behind the dynamic case study of Fig. 1(b).
 
 Beyond the paper's single-server cases, :class:`FleetScenario` describes
-cluster-scale workloads for the vectorized fleet engine: a 128-server
-diurnal fleet (:func:`diurnal_fleet_scenario`) and a migration-storm
-stress case (:func:`migration_storm_scenario`), both materialized by
-:func:`build_fleet_simulation`. Fleet scenarios pair naturally with the
-online prediction service: attach a
+cluster-scale workloads for the vectorized fleet engine, materialized by
+:func:`build_fleet_simulation`. The seven fleet builders here
+(:func:`diurnal_fleet_scenario`, :func:`class_balanced_fleet_scenario`,
+:func:`model_drift_scenario`, :func:`migration_storm_scenario`,
+:func:`cooling_failure_scenario`, :func:`thermal_cascade_scenario`,
+:func:`flash_crowd_scenario`) compile the spec documents of
+:mod:`repro.scenarios.library`, where each scenario is defined; they
+import it at call time because ``repro.scenarios`` sits above this
+layer (it compiles onto :class:`FleetScenario`). Fleet scenarios pair
+naturally with the online prediction service: attach a
 :class:`repro.serving.fleet.FleetPredictionProbe` to the built
 simulation to serve every host's Δ_gap-ahead forecast while it runs
 (see ``examples/fleet_prediction.py`` and the ``fleet-predict`` CLI).
@@ -27,21 +32,10 @@ from repro.datacenter.resources import ResourceCapacity
 from repro.datacenter.server import Server, ServerSpec
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.datacenter.vm import Vm, VmSpec
-from repro.datacenter.workload import (
-    TASK_KINDS,
-    ConstantTask,
-    PeriodicTask,
-    RampTask,
-    random_task,
-)
+from repro.datacenter.workload import TASK_KINDS, ConstantTask, random_task
 from repro.errors import ConfigurationError
 from repro.rng import RngFactory, RngStream
-from repro.thermal.environment import (
-    ConstantEnvironment,
-    EnvironmentProfile,
-    SinusoidalEnvironment,
-    SteppedEnvironment,
-)
+from repro.thermal.environment import ConstantEnvironment, EnvironmentProfile
 
 #: Discrete option sets for randomized server hardware; commodity boxes.
 CORE_OPTIONS = (8, 16, 24, 32)
@@ -333,186 +327,18 @@ class FleetScenario:
         return sum(len(group) for group in self.vm_specs)
 
 
-def _fleet_server_spec(hw: RngStream, index: int) -> ServerSpec:
-    """One randomized commodity server for a fleet scenario."""
-    return ServerSpec(
-        name=f"server-{index:03d}",
-        capacity=ResourceCapacity(
-            cpu_cores=hw.choice(list(CORE_OPTIONS)),
-            ghz_per_core=hw.choice(list(GHZ_OPTIONS)),
-            memory_gb=hw.choice(list(MEMORY_OPTIONS)),
-        ),
-        fan_count=hw.choice(list(FAN_COUNT_OPTIONS)),
-        fan_speed=hw.uniform(0.5, 0.9),
-    )
-
-
-def _diurnal_vm_specs(
-    factory: RngFactory,
-    server_index: int,
-    lo: int,
-    hi: int,
-    vcpu_limit: float | None = None,
-) -> tuple[VmSpec, ...]:
-    """One server's diurnal VM mix (request-serving / batch / cache-warming).
-
-    Draws from the ``vms/<index>`` stream exactly as the original inline
-    loop did, so existing fleet scenarios reproduce bit-identically.
-
-    ``vcpu_limit`` keeps the draw admissible on the target server: each
-    VM's vCPU count is clamped to the remaining overcommit budget and
-    the mix truncates once the budget is spent. The clamp only engages
-    on draws the admission check would have rejected outright (small
-    cores, many fat VMs — a 1-in-~600-servers event at the default mix),
-    so every historically buildable fleet is unchanged bit for bit; it
-    is what lets the headline scenarios scale to 1024+ servers.
-    """
-    vm_rng = factory.stream(f"vms/{server_index}")
-    n_vms = vm_rng.randint(lo, hi)
-    budget = float("inf") if vcpu_limit is None else int(vcpu_limit)
-    vms = []
-    for j in range(n_vms):
-        if budget < 1:
-            break
-        kind = vm_rng.choice(["periodic", "constant", "ramp"])
-        if kind == "periodic":
-            mean = vm_rng.uniform(0.25, 0.65)
-            task = PeriodicTask(
-                mean=mean,
-                amplitude=vm_rng.uniform(0.1, min(0.3, mean, 1.0 - mean)),
-                period_s=86400.0,
-                phase_s=vm_rng.uniform(0.0, 86400.0),
-            )
-        elif kind == "constant":
-            task = ConstantTask(level=vm_rng.uniform(0.2, 0.8))
-        else:
-            task = RampTask(
-                start_level=vm_rng.uniform(0.05, 0.3),
-                end_level=vm_rng.uniform(0.4, 0.9),
-                ramp_s=vm_rng.uniform(600.0, 3600.0),
-            )
-        vcpus = vm_rng.randint(1, 4)
-        if vcpus > budget:
-            vcpus = int(budget)
-        budget -= vcpus
-        vms.append(
-            VmSpec(
-                name=f"vm-{server_index:03d}-{j}",
-                vcpus=vcpus,
-                memory_gb=vm_rng.uniform(2.0, 8.0),
-                tasks=(task,),
-            )
-        )
-    return tuple(vms)
-
-
 def diurnal_fleet_scenario(
     n_servers: int = 128,
     seed: int = 90_000,
     vms_per_server: tuple[int, int] = (2, 5),
     duration_s: float = 7200.0,
 ) -> FleetScenario:
-    """A large fleet riding a diurnal load and cooling cycle.
+    """Compile :func:`repro.scenarios.library.diurnal_fleet_spec`."""
+    from repro.scenarios import compile_spec, library
 
-    Every server hosts a mix of request-serving (periodic, day-scale
-    period), batch (constant), and cache-warming (ramp) VMs; the room
-    temperature follows a sinusoidal daily drift, so both load and
-    cooling move the way a real datacenter's do over a day.
-    """
-    if n_servers < 1:
-        raise ConfigurationError(f"n_servers must be >= 1, got {n_servers}")
-    lo, hi = vms_per_server
-    if not 1 <= lo <= hi:
-        raise ConfigurationError(f"invalid vms_per_server {vms_per_server}")
-    factory = RngFactory(seed)
-    hw = factory.stream("hardware")
-    specs = []
-    placements = []
-    for i in range(n_servers):
-        server = _fleet_server_spec(hw, i)
-        specs.append(server)
-        placements.append(
-            _diurnal_vm_specs(factory, i, lo, hi, vcpu_limit=server.vcpu_limit)
-        )
-    return FleetScenario(
-        name=f"diurnal-fleet-{n_servers}",
-        server_specs=tuple(specs),
-        vm_specs=tuple(placements),
-        environment=SinusoidalEnvironment(
-            mean_c=22.0, amplitude_c=2.0, period_s=86400.0
-        ),
-        duration_s=duration_s,
-        seed=seed,
-    )
-
-
-def _hardware_class_combos(
-    factory: RngFactory, n_classes: int
-) -> list[tuple[int, float, float, int]]:
-    """Draw ``n_classes`` distinct (cores, ghz, memory, fans) combinations.
-
-    The draw consumes the factory's ``"classes"`` stream exactly as the
-    class-balanced builder always did, so any scenario built from the
-    same seed gets the same hardware classes — which is how the
-    model-drift scenario guarantees its fleet matches the class keys of
-    the profiling campaign a registry was trained on.
-    """
-    combos = [
-        (cores, ghz, memory, fans)
-        for cores in CORE_OPTIONS
-        for ghz in GHZ_OPTIONS
-        for memory in MEMORY_OPTIONS
-        for fans in FAN_COUNT_OPTIONS
-    ]
-    if n_classes > len(combos):
-        raise ConfigurationError(
-            f"n_classes must be <= {len(combos)} distinct hardware "
-            f"combinations, got {n_classes}"
-        )
-    class_rng = factory.stream("classes")
-    class_rng.shuffle(combos)
-    return combos[:n_classes]
-
-
-def _class_fleet_specs(
-    factory: RngFactory,
-    combos: list[tuple[int, float, float, int]],
-    servers_per_class: int,
-    lo: int,
-    hi: int,
-) -> tuple[list[ServerSpec], list[tuple[VmSpec, ...]]]:
-    """Server specs + initial placements for a class-balanced fleet.
-
-    Consumes the factory's ``"hardware"`` and ``"vms/<i>"`` streams in
-    the canonical order (one fan-speed draw, then one VM-mix draw, per
-    server). Shared by :func:`class_balanced_fleet_scenario` and
-    :func:`model_drift_scenario` so equal seeds yield **bit-identical**
-    fleets — the load-bearing guarantee that a registry trained on the
-    calm campaign serves the drift fleet with matching class keys.
-    """
-    hw = factory.stream("hardware")
-    specs: list[ServerSpec] = []
-    placements: list[tuple[VmSpec, ...]] = []
-    index = 0
-    for cores, ghz, memory, fans in combos:
-        for _ in range(servers_per_class):
-            specs.append(
-                ServerSpec(
-                    name=f"server-{index:03d}",
-                    capacity=ResourceCapacity(
-                        cpu_cores=cores, ghz_per_core=ghz, memory_gb=memory
-                    ),
-                    fan_count=fans,
-                    fan_speed=hw.uniform(0.5, 0.9),
-                )
-            )
-            placements.append(
-                _diurnal_vm_specs(
-                    factory, index, lo, hi, vcpu_limit=specs[-1].vcpu_limit
-                )
-            )
-            index += 1
-    return specs, placements
+    return compile_spec(library.diurnal_fleet_spec(
+        n_servers, seed, vms_per_server, duration_s
+    ))
 
 
 def class_balanced_fleet_scenario(
@@ -522,40 +348,12 @@ def class_balanced_fleet_scenario(
     vms_per_server: tuple[int, int] = (2, 5),
     duration_s: float = 3600.0,
 ) -> FleetScenario:
-    """A fleet built from a fixed number of hardware classes.
+    """Compile :func:`repro.scenarios.library.class_balanced_fleet_spec`."""
+    from repro.scenarios import compile_spec, library
 
-    Real fleets buy servers in SKU generations: many hosts share one
-    hardware class. This scenario draws ``n_classes`` distinct
-    (cores, clock, memory, fans) combinations and instantiates
-    ``servers_per_class`` servers of each — the shape the per-class
-    trainer (:func:`repro.training.fleet_trainer.train_fleet_registry`)
-    trains one model per class from. VM mixes and fan speeds vary per
-    server; the environment rides the diurnal cycle.
-    """
-    if n_classes < 1:
-        raise ConfigurationError(f"n_classes must be >= 1, got {n_classes}")
-    if servers_per_class < 1:
-        raise ConfigurationError(
-            f"servers_per_class must be >= 1, got {servers_per_class}"
-        )
-    lo, hi = vms_per_server
-    if not 1 <= lo <= hi:
-        raise ConfigurationError(f"invalid vms_per_server {vms_per_server}")
-    factory = RngFactory(seed)
-    combos = _hardware_class_combos(factory, n_classes)
-    specs, placements = _class_fleet_specs(
-        factory, combos, servers_per_class, lo, hi
-    )
-    return FleetScenario(
-        name=f"class-balanced-fleet-{n_classes}x{servers_per_class}",
-        server_specs=tuple(specs),
-        vm_specs=tuple(placements),
-        environment=SinusoidalEnvironment(
-            mean_c=22.0, amplitude_c=2.0, period_s=86400.0
-        ),
-        duration_s=duration_s,
-        seed=seed,
-    )
+    return compile_spec(library.class_balanced_fleet_spec(
+        n_classes, servers_per_class, seed, vms_per_server, duration_s
+    ))
 
 
 def model_drift_scenario(
@@ -575,156 +373,15 @@ def model_drift_scenario(
     second_wave_window_s: float | None = None,
     second_wave: bool = True,
 ) -> FleetScenario:
-    """A regime shift that silently degrades a frozen ψ_stable model.
+    """Compile :func:`repro.scenarios.library.model_drift_spec`."""
+    from repro.scenarios import compile_spec, library
 
-    The fleet's hardware classes and initial VM placements reproduce
-    :func:`class_balanced_fleet_scenario` at the same ``seed`` **bit for
-    bit** (same named RNG streams), so a registry trained on that
-    campaign serves this fleet with matching class keys — and then the
-    regime it was trained in goes away:
-
-    * a **seasonal ambient ramp**: the room steps from 22 °C up by
-      ``ramp_delta_c`` in ``n_ramp_steps`` increments starting at
-      ``ramp_start_s`` — δ_env leaves the training range, pushing the
-      SVR into extrapolation;
-    * a **VM-flavor shift**: ``shift_fraction`` of every class's servers
-      receive a heavier new-generation VM (staggered over
-      ``shift_window_s`` from ``shift_start_s``), changing the ξ_VM mix
-      the model was fitted on; an optional **second wave** lands after a
-      drift-aware lifecycle would have retrained, so retrained-vs-frozen
-      forecast quality shows up in the post-wave retarget transients.
-
-    Flavor-shift arrivals are only scheduled on servers whose initial
-    placement leaves static headroom for them (memory is a hard
-    admission constraint), so the scenario can never capacity-fault
-    mid-run.
-
-    Event timing defaults scale with ``duration_s`` (ramp from 1/6
-    through ~2/3 of the run, first wave at 1/3, second wave at 3/4), so
-    shortened runs keep the same drama; pass explicit times to override,
-    or ``second_wave=False`` to drop the post-retrain wave.
-    """
-    if ramp_start_s is None:
-        ramp_start_s = duration_s / 6.0
-    if ramp_step_s is None:
-        ramp_step_s = duration_s / 12.0
-    if shift_start_s is None:
-        shift_start_s = duration_s / 3.0
-    if shift_window_s is None:
-        shift_window_s = duration_s / 12.0
-    if second_wave_window_s is None:
-        second_wave_window_s = duration_s / 12.0
-    if not second_wave:
-        second_wave_start_s = None  # the off-switch wins over explicit times
-    elif second_wave_start_s is None:
-        second_wave_start_s = duration_s * 0.75
-    if n_classes < 1 or servers_per_class < 1:
-        raise ConfigurationError(
-            f"need at least one server, got {n_classes} classes x "
-            f"{servers_per_class}"
-        )
-    lo, hi = vms_per_server
-    if not 1 <= lo <= hi:
-        raise ConfigurationError(f"invalid vms_per_server {vms_per_server}")
-    if not 0.0 <= shift_fraction <= 1.0:
-        raise ConfigurationError(
-            f"shift_fraction must be in [0, 1], got {shift_fraction}"
-        )
-    if not 0.0 < ramp_start_s < duration_s:
-        raise ConfigurationError(
-            f"ramp_start_s must fall inside the run, got {ramp_start_s}"
-        )
-    if n_ramp_steps < 1 or ramp_step_s <= 0:
-        raise ConfigurationError("ramp needs >= 1 steps of positive spacing")
-    last_ramp_step_s = ramp_start_s + (n_ramp_steps - 1) * ramp_step_s
-    if last_ramp_step_s >= duration_s:
-        raise ConfigurationError(
-            f"last ambient ramp step at {last_ramp_step_s}s would never "
-            f"apply inside the {duration_s}s run"
-        )
-    if not 0.0 < shift_start_s < duration_s:
-        raise ConfigurationError(
-            f"shift_start_s must fall inside the run, got {shift_start_s}"
-        )
-    if shift_window_s < 0 or second_wave_window_s < 0:
-        raise ConfigurationError(
-            "wave windows must be >= 0, got "
-            f"shift={shift_window_s}, second={second_wave_window_s}"
-        )
-    if shift_start_s + shift_window_s >= duration_s:
-        raise ConfigurationError(
-            f"flavor-shift wave [{shift_start_s}, "
-            f"{shift_start_s + shift_window_s}] must finish strictly inside "
-            f"the {duration_s}s run — late arrivals would silently never land"
-        )
-    if second_wave_start_s is not None:
-        if not shift_start_s < second_wave_start_s < duration_s:
-            raise ConfigurationError(
-                "second_wave_start_s must follow shift_start_s inside the run"
-            )
-        if second_wave_start_s + second_wave_window_s >= duration_s:
-            raise ConfigurationError(
-                f"second wave [{second_wave_start_s}, "
-                f"{second_wave_start_s + second_wave_window_s}] must finish "
-                f"strictly inside the {duration_s}s run"
-            )
-
-    factory = RngFactory(seed)
-    combos = _hardware_class_combos(factory, n_classes)
-    specs, placements = _class_fleet_specs(
-        factory, combos, servers_per_class, lo, hi
-    )
-
-    # Flavor-shift arrivals: the first shift_fraction of each class's
-    # servers, skipping any without static headroom for the heavy VMs.
-    n_shift = round(servers_per_class * shift_fraction)
-    waves = [(shift_start_s, shift_window_s)]
-    if second_wave_start_s is not None:
-        waves.append((second_wave_start_s, second_wave_window_s))
-    shifted: list[int] = []
-    for i, (spec, vms) in enumerate(zip(specs, placements)):
-        if i % servers_per_class >= n_shift:
-            continue
-        free_memory, free_vcpus = spec.static_headroom(vms)
-        if 2 * len(waves) > free_vcpus:
-            continue
-        if 6.0 * len(waves) + 1.0 > free_memory:
-            continue
-        shifted.append(i)
-    arrivals: list[tuple[float, str, VmSpec]] = []
-    for rank, i in enumerate(shifted):
-        rng = factory.stream(f"flavor-shift/{i}")
-        for wave, (start_s, window_s) in enumerate(waves):
-            time_s = start_s + window_s * (rank / max(len(shifted) - 1, 1))
-            heavy = VmSpec(
-                name=f"shift-{i:03d}-w{wave}",
-                vcpus=2,
-                memory_gb=rng.uniform(3.0, 6.0),
-                tasks=(
-                    ConstantTask(level=rng.uniform(0.55, 0.8)),
-                    ConstantTask(level=rng.uniform(0.55, 0.8)),
-                ),
-            )
-            arrivals.append((time_s, specs[i].name, heavy))
-    arrivals.sort(key=lambda entry: entry[0])
-
-    steps = tuple(
-        (
-            ramp_start_s + i * ramp_step_s,
-            22.0 + ramp_delta_c * (i + 1) / n_ramp_steps,
-        )
-        for i in range(n_ramp_steps)
-    )
-    return FleetScenario(
-        name=f"model-drift-{n_classes}x{servers_per_class}",
-        server_specs=tuple(specs),
-        vm_specs=tuple(placements),
-        environment=SteppedEnvironment(initial_c=22.0, steps=steps),
-        duration_s=duration_s,
-        seed=seed,
-        arrivals=tuple(arrivals),
-        servers_per_rack=max(1, (n_classes * servers_per_class) // 4),
-    )
+    return compile_spec(library.model_drift_spec(
+        n_classes, servers_per_class, seed, vms_per_server, duration_s,
+        ramp_start_s, ramp_delta_c, n_ramp_steps, ramp_step_s,
+        shift_fraction, shift_start_s, shift_window_s,
+        second_wave_start_s, second_wave_window_s, second_wave,
+    ))
 
 
 def migration_storm_scenario(
@@ -734,111 +391,12 @@ def migration_storm_scenario(
     storm_window_s: float = 300.0,
     duration_s: float = 1800.0,
 ) -> FleetScenario:
-    """A consolidation wave: half the fleet evacuates one hot VM each.
+    """Compile :func:`repro.scenarios.library.migration_storm_spec`."""
+    from repro.scenarios import compile_spec, library
 
-    The first half of the fleet runs loaded (each with one dedicated
-    migrant VM plus background load); the second half idles. During
-    ``[storm_start, storm_start + storm_window]`` every loaded server
-    live-migrates its migrant to its idle partner — a burst of
-    simultaneous migrations stressing event handling, VMM overhead
-    accounting, and fleet-state rebuilds.
-    """
-    if n_servers < 2 or n_servers % 2:
-        raise ConfigurationError(
-            f"n_servers must be an even number >= 2, got {n_servers}"
-        )
-    if storm_window_s <= 0:
-        raise ConfigurationError(f"storm_window_s must be > 0, got {storm_window_s}")
-    half = n_servers // 2
-    factory = RngFactory(seed)
-    hw = factory.stream("hardware")
-    specs = []
-    placements = []
-    migrations = []
-    for i in range(n_servers):
-        server = _fleet_server_spec(hw, i)
-        specs.append(server)
-        if i >= half:
-            placements.append(())
-            continue
-        vm_rng = factory.stream(f"vms/{i}")
-        migrant = VmSpec(
-            name=f"migrant-{i:03d}",
-            vcpus=2,
-            memory_gb=vm_rng.uniform(4.0, 8.0),
-            tasks=(ConstantTask(level=vm_rng.uniform(0.7, 0.95)),),
-        )
-        background = VmSpec(
-            name=f"base-{i:03d}",
-            vcpus=2,
-            memory_gb=vm_rng.uniform(4.0, 12.0),
-            tasks=(ConstantTask(level=vm_rng.uniform(0.3, 0.6)),),
-        )
-        placements.append((migrant, background))
-        start = storm_start_s + storm_window_s * (i / max(half - 1, 1))
-        migrations.append((start, migrant.name, f"server-{i + half:03d}"))
-    return FleetScenario(
-        name=f"migration-storm-{n_servers}",
-        server_specs=tuple(specs),
-        vm_specs=tuple(placements),
-        environment=ConstantEnvironment(22.0),
-        duration_s=duration_s,
-        seed=seed,
-        migrations=tuple(migrations),
-    )
-
-
-# -- control-plane stress scenarios -------------------------------------------
-#
-# These three scenarios are the workloads the closed-loop thermal control
-# plane (:mod:`repro.control`) must survive: each manufactures a fleet
-# where doing nothing leaves sustained hotspots while feasible migrations
-# exist that clear them. They share one shape — a minority of "hot"
-# servers driven near the thermal limit plus a majority of lightly loaded
-# spares with the memory/vCPU headroom to absorb evicted VMs.
-
-#: Hardware used by the stress scenarios: one commodity SKU, so the
-#: control loop's decisions (not hardware diversity) drive the outcome.
-_STRESS_CAPACITY = dict(cpu_cores=16, ghz_per_core=2.4, memory_gb=64.0)
-
-
-def _stress_server_spec(index: int) -> ServerSpec:
-    return ServerSpec(
-        name=f"server-{index:03d}",
-        capacity=ResourceCapacity(**_STRESS_CAPACITY),
-        fan_count=4,
-        fan_speed=0.7,
-    )
-
-
-def _hot_vm_specs(
-    vm_rng: RngStream,
-    server_index: int,
-    n_vms: int,
-    level: tuple[float, float] = (0.78, 0.88),
-) -> tuple[VmSpec, ...]:
-    """Heavily loaded VMs that together push a stress server near its limit."""
-    return tuple(
-        VmSpec(
-            name=f"hot-{server_index:03d}-{j}",
-            vcpus=4,
-            memory_gb=vm_rng.uniform(4.0, 6.0),
-            tasks=tuple(
-                ConstantTask(level=vm_rng.uniform(*level)) for _ in range(4)
-            ),
-        )
-        for j in range(n_vms)
-    )
-
-
-def _light_vm_spec(vm_rng: RngStream, server_index: int) -> VmSpec:
-    """Background load for a spare server — plenty of headroom left."""
-    return VmSpec(
-        name=f"light-{server_index:03d}",
-        vcpus=2,
-        memory_gb=vm_rng.uniform(2.0, 4.0),
-        tasks=(ConstantTask(level=vm_rng.uniform(0.15, 0.3)),),
-    )
+    return compile_spec(library.migration_storm_spec(
+        n_servers, seed, storm_start_s, storm_window_s, duration_s
+    ))
 
 
 def cooling_failure_scenario(
@@ -850,52 +408,13 @@ def cooling_failure_scenario(
     duration_s: float = 3600.0,
     hot_fraction: float = 0.25,
 ) -> FleetScenario:
-    """A CRAC step failure: the cold aisle jumps ``failure_delta_c`` mid-run.
+    """Compile :func:`repro.scenarios.library.cooling_failure_spec`."""
+    from repro.scenarios import compile_spec, library
 
-    The hot quarter of the fleet runs close enough to the thermal limit
-    that the warmer room pushes it over; the spare servers stay far
-    below it. Without intervention the hot servers are sustained
-    hotspots for the rest of the run; shedding one or two VMs each
-    (onto spares with ample headroom) clears them — exactly the
-    mitigation a forecast-driven control loop should discover.
-    """
-    if n_servers < 2:
-        raise ConfigurationError(f"n_servers must be >= 2, got {n_servers}")
-    if not 0.0 < hot_fraction < 1.0:
-        raise ConfigurationError(f"hot_fraction must be in (0, 1), got {hot_fraction}")
-    if not 0.0 < failure_time_s < duration_s:
-        raise ConfigurationError(
-            f"failure_time_s must fall inside the run, got {failure_time_s}"
-        )
-    if recovery_time_s is not None and recovery_time_s <= failure_time_s:
-        raise ConfigurationError("recovery_time_s must follow failure_time_s")
-    n_hot = max(1, int(n_servers * hot_fraction))
-    factory = RngFactory(seed)
-    specs = []
-    placements = []
-    for i in range(n_servers):
-        specs.append(_stress_server_spec(i))
-        vm_rng = factory.stream(f"vms/{i}")
-        if i < n_hot:
-            # Near the limit only once the room warms: ~70 °C at the
-            # 22 °C set-point, over 75 °C after an 8 °C CRAC step.
-            placements.append(
-                _hot_vm_specs(vm_rng, i, n_vms=4, level=(0.58, 0.68))
-            )
-        else:
-            placements.append((_light_vm_spec(vm_rng, i),))
-    steps = [(failure_time_s, 22.0 + failure_delta_c)]
-    if recovery_time_s is not None:
-        steps.append((recovery_time_s, 22.0))
-    return FleetScenario(
-        name=f"cooling-failure-{n_servers}",
-        server_specs=tuple(specs),
-        vm_specs=tuple(placements),
-        environment=SteppedEnvironment(initial_c=22.0, steps=tuple(steps)),
-        duration_s=duration_s,
-        seed=seed,
-        servers_per_rack=max(1, n_servers // 4),
-    )
+    return compile_spec(library.cooling_failure_spec(
+        n_servers, seed, failure_time_s, failure_delta_c, recovery_time_s,
+        duration_s, hot_fraction,
+    ))
 
 
 def thermal_cascade_scenario(
@@ -904,37 +423,12 @@ def thermal_cascade_scenario(
     duration_s: float = 3600.0,
     ambient_c: float = 24.0,
 ) -> FleetScenario:
-    """A hot row: one rack packed with heavy tenants, the rest idle-ish.
+    """Compile :func:`repro.scenarios.library.thermal_cascade_spec`."""
+    from repro.scenarios import compile_spec, library
 
-    Models the classic cascade risk — recirculation and packed placement
-    leave a whole row running hot while neighbouring racks idle. The
-    first rack's servers each host four heavy VMs (sustained hotspots at
-    ``ambient_c``); every other rack has headroom. The control plane
-    must spread the row's load across the cold racks before the row
-    saturates.
-    """
-    if n_servers < 8:
-        raise ConfigurationError(f"n_servers must be >= 8, got {n_servers}")
-    servers_per_rack = max(2, n_servers // 4)
-    factory = RngFactory(seed)
-    specs = []
-    placements = []
-    for i in range(n_servers):
-        specs.append(_stress_server_spec(i))
-        vm_rng = factory.stream(f"vms/{i}")
-        if i < servers_per_rack:  # the hot row = rack-0
-            placements.append(_hot_vm_specs(vm_rng, i, n_vms=4))
-        else:
-            placements.append((_light_vm_spec(vm_rng, i),))
-    return FleetScenario(
-        name=f"thermal-cascade-{n_servers}",
-        server_specs=tuple(specs),
-        vm_specs=tuple(placements),
-        environment=ConstantEnvironment(ambient_c),
-        duration_s=duration_s,
-        seed=seed,
-        servers_per_rack=servers_per_rack,
-    )
+    return compile_spec(library.thermal_cascade_spec(
+        n_servers, seed, duration_s, ambient_c
+    ))
 
 
 def flash_crowd_scenario(
@@ -944,45 +438,12 @@ def flash_crowd_scenario(
     duration_s: float = 3600.0,
     hot_fraction: float = 0.25,
 ) -> FleetScenario:
-    """A flash crowd: a burst of heavy VMs lands on the front-end pool.
+    """Compile :func:`repro.scenarios.library.flash_crowd_spec`."""
+    from repro.scenarios import compile_spec, library
 
-    Every server starts lightly loaded. At ``spike_time_s`` the first
-    ``hot_fraction`` of the fleet each receives four heavy arrivals
-    (the load balancer pinning a crowd to the warm pool), driving those
-    hosts toward the limit while the rest of the fleet keeps its
-    headroom. Unlike the CRAC failure the room stays cold — only load
-    moves — so mitigation must rebalance VMs, not wait out the weather.
-    """
-    if n_servers < 2:
-        raise ConfigurationError(f"n_servers must be >= 2, got {n_servers}")
-    if not 0.0 < spike_time_s < duration_s:
-        raise ConfigurationError(
-            f"spike_time_s must fall inside the run, got {spike_time_s}"
-        )
-    n_hot = max(1, int(n_servers * hot_fraction))
-    factory = RngFactory(seed)
-    specs = []
-    placements = []
-    arrivals = []
-    for i in range(n_servers):
-        specs.append(_stress_server_spec(i))
-        vm_rng = factory.stream(f"vms/{i}")
-        placements.append((_light_vm_spec(vm_rng, i),))
-        if i < n_hot:
-            for j, spec in enumerate(_hot_vm_specs(vm_rng, i, n_vms=4)):
-                arrivals.append(
-                    (spike_time_s + 10.0 * j, f"server-{i:03d}", spec)
-                )
-    return FleetScenario(
-        name=f"flash-crowd-{n_servers}",
-        server_specs=tuple(specs),
-        vm_specs=tuple(placements),
-        environment=ConstantEnvironment(22.0),
-        duration_s=duration_s,
-        seed=seed,
-        arrivals=tuple(arrivals),
-        servers_per_rack=max(1, n_servers // 4),
-    )
+    return compile_spec(library.flash_crowd_spec(
+        n_servers, seed, spike_time_s, duration_s, hot_fraction
+    ))
 
 
 # -- simulation builders ------------------------------------------------------

@@ -3,7 +3,10 @@
 The scenario path (see ``docs/architecture.md``):
 
 1. a plain-dict **spec** (:mod:`repro.scenarios.spec`) referencing the
-   hardware/VM-type **catalog** (:mod:`repro.scenarios.catalog`) is
+   hardware/VM-type **catalog** (:mod:`repro.scenarios.catalog`) — one
+   of the seven fleet scenarios of the **library**
+   (:mod:`repro.scenarios.library`), a fuzzed document, or a user's
+   own — is
 2. compiled deterministically onto the existing
    :class:`~repro.experiments.scenarios.FleetScenario`, which
 3. :func:`~repro.experiments.scenarios.build_fleet_simulation` runs
@@ -25,7 +28,15 @@ from repro.scenarios.invariants import (
     assert_invariants,
     run_with_invariants,
 )
-from repro.scenarios.library import cooling_failure_spec, flash_crowd_spec
+from repro.scenarios.library import (
+    class_balanced_fleet_spec,
+    cooling_failure_spec,
+    diurnal_fleet_spec,
+    flash_crowd_spec,
+    migration_storm_spec,
+    model_drift_spec,
+    thermal_cascade_spec,
+)
 from repro.scenarios.spec import compile_spec, parse_offset, sample_value
 
 __all__ = [
@@ -35,11 +46,16 @@ __all__ = [
     "ScenarioFuzzer",
     "VmType",
     "assert_invariants",
+    "class_balanced_fleet_spec",
     "compile_spec",
     "cooling_failure_spec",
     "default_catalog",
+    "diurnal_fleet_spec",
     "flash_crowd_spec",
+    "migration_storm_spec",
+    "model_drift_spec",
     "parse_offset",
     "run_with_invariants",
     "sample_value",
+    "thermal_cascade_spec",
 ]

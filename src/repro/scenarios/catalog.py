@@ -5,8 +5,8 @@ families; a scenario document should be able to say ``"type": "c5.xlarge"``
 instead of re-listing vCPUs and memory. The catalog carries:
 
 * **hardware types** — server SKUs (capacity + fan bank + overcommit),
-  including the ``stress`` SKU the hand-coded control-plane scenarios
-  use, so spec-reexpressed scenarios stay bit-identical to the originals;
+  including the ``stress`` SKU of the library's control-plane stress
+  scenarios;
 * **VM types** — EC2-like flavors: compute-optimized ``c5.*``,
   memory-optimized ``r5.*``, and burstable ``t3.*`` sizes.
 
@@ -112,11 +112,10 @@ class Catalog:
         return [vm.name for vm in self.vm_types]
 
 
-#: The ``stress`` SKU mirrors the hand-coded control-plane scenarios'
-#: ``_stress_server_spec`` (one commodity box, 4 fans at 0.7) so the
-#: spec-reexpressed cooling-failure / flash-crowd scenarios reproduce the
-#: Python originals bit for bit. The ``commodity-*`` SKUs span the same
-#: discrete option sets the randomized generators draw from.
+#: The ``stress`` SKU is the one commodity box (4 fans at 0.7) of the
+#: library's control-plane stress scenarios (cooling failure, thermal
+#: cascade, flash crowd). The ``commodity-*`` SKUs span the same discrete
+#: option sets the randomized generators draw from.
 _HARDWARE = (
     HardwareType("stress", cpu_cores=16, ghz_per_core=2.4, memory_gb=64.0,
                  fan_count=4, fan_speed=0.7),

@@ -29,11 +29,14 @@ describes a fleet workload declaratively::
 :func:`compile_spec` turns a spec into the existing
 :class:`~repro.experiments.scenarios.FleetScenario` **deterministically**
 — all sampled parameters (``{"uniform": [lo, hi]}`` and friends) draw
-from :class:`~repro.rng.RngFactory` streams named after the server they
-land on, exactly the streams the hand-coded builders use. Per-stream
-draw order is the only thing that matters for reproducibility, so a
-spec that mirrors a hand-coded scenario's draws is bit-identical to it
-(see :mod:`repro.scenarios.library` and the parity tests).
+from :class:`~repro.rng.RngFactory` streams seeded by the document's
+``seed``: server hardware from ``hardware``, each server's VMs from
+``vms/{server_index}`` unless a block names its own ``stream``. Only
+the per-stream draw order matters for reproducibility, and it is fixed
+by the document: server groups and fields in order, VM fields
+(``vcpus``, ``memory_gb``, ``tasks``) in document key order, tasks in
+list order. Every fleet scenario the repo ships is a document of
+:mod:`repro.scenarios.library`.
 
 Validation happens at compile time with path-qualified error messages
 (:class:`~repro.errors.ScenarioSpecError`): unknown catalog keys,
@@ -42,6 +45,20 @@ fire, and migrations of VMs that do not exist are all rejected before a
 simulation is built. Capacity is tracked *conservatively* through the
 timeline — every accepted arrival and migration reserves its resources
 forever — so a compiled scenario can never capacity-fault mid-run.
+
+Generators beyond literal fields:
+
+* server-group hardware fields may be distributions, drawn per server;
+  a group with ``"classes": n, "each": k`` instead of ``count`` shuffles
+  the product of its ``choice`` fields on the ``classes`` stream and
+  emits ``k`` servers for each of the first ``n`` combinations;
+* a VM entry's ``count`` may be a distribution, drawn before its VMs;
+* a task may be ``{"one_of": [task, ...]}``, one ``choice`` draw;
+* a periodic task's sampled ``uniform`` amplitude has its upper bound
+  capped at ``min(hi, mean, 1 - mean)``;
+* a placement block with ``"clamp_vcpus": true`` shrinks each VM's
+  vCPUs to the server's remaining ``int(vcpu_limit)`` and stops placing
+  on a server once none is left.
 
 Timeline grammar (``"at"`` accepts ``"+2h"``-style relative offsets or
 plain seconds):
@@ -58,7 +75,9 @@ plain seconds):
 
 from __future__ import annotations
 
+import itertools
 import re
+from dataclasses import replace
 from typing import Any, Callable
 
 from repro.datacenter.server import ServerSpec
@@ -84,14 +103,15 @@ _TOP_KEYS = frozenset(
      "timeline", "servers_per_rack"}
 )
 _SERVER_KEYS = frozenset(
-    {"type", "count", "name", "cpu_cores", "ghz_per_core", "memory_gb",
-     "fan_count", "fan_speed", "cpu_overcommit"}
+    {"type", "count", "classes", "each", "name", "cpu_cores", "ghz_per_core",
+     "memory_gb", "fan_count", "fan_speed", "cpu_overcommit"}
 )
 _HARDWARE_FIELDS = ("cpu_cores", "ghz_per_core", "memory_gb", "fan_count",
                     "fan_speed", "cpu_overcommit")
-_PLACEMENT_KEYS = frozenset({"servers", "stream", "vms"})
+_PLACEMENT_KEYS = frozenset({"servers", "stream", "vms", "clamp_vcpus"})
 _VM_KEYS = frozenset({"name", "type", "vcpus", "memory_gb", "tasks", "count"})
 _TASK_KINDS = ("constant", "periodic", "ramp")
+_VM_FIELDS = ("vcpus", "memory_gb", "tasks")
 _EVENT_KINDS = ("arrival", "migrate", "ambient_step", "cooling_derate",
                 "ambient_ramp")
 _ARRIVAL_KEYS = frozenset(
@@ -142,7 +162,11 @@ def _check_keys(mapping: dict, allowed: frozenset, path: str) -> None:
         )
 
 
-def _require_count(value: Any, path: str, default: int = 1) -> int:
+def _require_count(value: Any, path: str, default: int = 1,
+                   rng: RngStream | None = None) -> int:
+    """A literal count, or with ``rng`` a distribution drawn from it."""
+    if rng is not None and isinstance(value, dict):
+        value = _sample_int(value, rng, path)
     if value is None:
         return default
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -339,8 +363,49 @@ class _Committed:
 # -- sub-compilers -------------------------------------------------------------
 
 
-def _compile_servers(entries: Any, catalog: Catalog,
+def _group_classes(entry: dict, fields: dict, factory: RngFactory,
+                   path: str) -> list[dict]:
+    """The hardware fixed per server of one server group, one dict each.
+
+    A plain group is ``count`` servers with nothing fixed. A ``classes``
+    group forms the product of its ``choice`` fields (first field
+    outermost), shuffles it on the ``classes`` stream, and emits
+    ``each`` servers for each of the first ``classes`` combinations.
+    """
+    if "classes" not in entry:
+        if "each" in entry:
+            raise ScenarioSpecError(f"{path}.each: only valid with 'classes'")
+        return [{}] * _require_count(entry.get("count"), f"{path}.count")
+    if "count" in entry:
+        raise ScenarioSpecError(
+            f"{path}: a classes group takes 'classes' and 'each', not 'count'"
+        )
+    n_classes = _require_count(entry["classes"], f"{path}.classes")
+    each = _require_count(entry.get("each"), f"{path}.each")
+    keys = [key for key in _HARDWARE_FIELDS
+            if isinstance(fields[key], dict) and set(fields[key]) == {"choice"}]
+    options = []
+    for key in keys:
+        choices = fields[key]["choice"]
+        if not isinstance(choices, list) or not choices:
+            raise ScenarioSpecError(
+                f"{path}.{key}.choice: expected a non-empty list"
+            )
+        options.append(choices)
+    combos = [dict(zip(keys, values)) for values in itertools.product(*options)]
+    if n_classes > len(combos):
+        raise ScenarioSpecError(
+            f"{path}.classes: {n_classes} classes exceed the {len(combos)} "
+            "distinct hardware combinations of its choice fields"
+        )
+    factory.stream("classes").shuffle(combos)
+    return [combo for combo in combos[:n_classes] for _ in range(each)]
+
+
+def _compile_servers(entries: Any, catalog: Catalog, factory: RngFactory,
                      path: str) -> list[ServerSpec]:
+    """Server groups → specs. Distribution-valued hardware fields draw
+    per server from the ``hardware`` stream, in field order."""
     if not isinstance(entries, list) or not entries:
         raise ScenarioSpecError(
             f"{path}: expected a non-empty list of server groups"
@@ -351,7 +416,6 @@ def _compile_servers(entries: Any, catalog: Catalog,
         gpath = f"{path}[{gi}]"
         entry = _require_mapping(entry, gpath)
         _check_keys(entry, _SERVER_KEYS, gpath)
-        count = _require_count(entry.get("count"), f"{gpath}.count")
         if "type" in entry:
             hw = catalog.hardware_type(entry["type"])
             fields = {key: getattr(hw, key) for key in _HARDWARE_FIELDS}
@@ -368,7 +432,7 @@ def _compile_servers(entries: Any, catalog: Catalog,
             if key in entry:
                 fields[key] = entry[key]
         template = entry.get("name", "server-{index:03d}")
-        for _ in range(count):
+        for fixed in _group_classes(entry, fields, factory, gpath):
             index = len(specs)
             name = _format_name(template, f"{gpath}.name", index=index,
                                 group_index=gi)
@@ -377,17 +441,53 @@ def _compile_servers(entries: Any, catalog: Catalog,
                     f"{gpath}: duplicate server name {name!r}"
                 )
             seen.add(name)
+            drawn = dict(fields, **fixed)
+            for key in _HARDWARE_FIELDS:
+                if isinstance(drawn[key], dict):
+                    drawn[key] = sample_value(drawn[key],
+                                              factory.stream("hardware"),
+                                              f"{gpath}.{key}")
             try:
-                sku = HardwareType(name=entry.get("type", "inline"), **fields)
+                sku = HardwareType(name=entry.get("type", "inline"), **drawn)
                 specs.append(sku.server_spec(name))
             except (ConfigurationError, TypeError) as exc:
                 raise ScenarioSpecError(f"{gpath}: {exc}") from exc
     return specs
 
 
+def _cap_amplitude(doc: Any, mean: float, path: str) -> Any:
+    """Cap a ``uniform`` amplitude's upper bound at ``min(hi, mean,
+    1 - mean)``, so the sampled load never leaves [0, 1]."""
+    if not isinstance(doc, dict) or set(doc) != {"uniform"}:
+        return doc
+    lo, hi = _pair(doc["uniform"], f"{path}.uniform")
+    cap = min(hi, mean, 1.0 - mean)
+    if cap < lo:
+        raise ScenarioSpecError(
+            f"{path}.uniform: lower bound {lo} exceeds the cap "
+            f"min(hi, mean, 1 - mean) = {cap} at mean {mean}"
+        )
+    return {"uniform": [lo, cap]}
+
+
 def _compile_task(entry: Any, rng: RngStream, path: str) -> list[Task]:
-    """One task document → tasks (``count`` repeats, one draw set each)."""
+    """One task document → tasks (``count`` repeats, one draw set each).
+
+    ``{"one_of": [task, ...]}`` picks one alternative with one
+    ``choice`` draw, then compiles it.
+    """
     entry = _require_mapping(entry, path)
+    if "one_of" in entry:
+        alternatives = entry["one_of"]
+        if set(entry) != {"one_of"} or not isinstance(alternatives, list) \
+                or not alternatives:
+            raise ScenarioSpecError(
+                f"{path}: 'one_of' takes a non-empty list of tasks and "
+                "nothing else"
+            )
+        pick = rng.choice(list(range(len(alternatives))))
+        return _compile_task(alternatives[pick], rng,
+                             f"{path}.one_of[{pick}]")
     kinds = [k for k in entry if k in _TASK_KINDS]
     extra = sorted(set(entry) - {"count"} - set(kinds))
     if len(kinds) != 1 or extra:
@@ -412,8 +512,11 @@ def _compile_task(entry: Any, rng: RngStream, path: str) -> list[Task]:
                             f"{path}.periodic")
                 mean = _sample_number(params.get("mean", 0.5), rng,
                                       f"{path}.periodic.mean")
-                amplitude = _sample_number(params.get("amplitude", 0.2), rng,
-                                           f"{path}.periodic.amplitude")
+                amplitude = _sample_number(
+                    _cap_amplitude(params.get("amplitude", 0.2), mean,
+                                   f"{path}.periodic.amplitude"),
+                    rng, f"{path}.periodic.amplitude",
+                )
                 period = _sample_number(params.get("period", 300.0), rng,
                                         f"{path}.periodic.period",
                                         allow_offset=True)
@@ -445,7 +548,7 @@ def _compile_task(entry: Any, rng: RngStream, path: str) -> list[Task]:
 def _compile_vm(entry: dict, rng: RngStream, catalog: Catalog,
                 server_index: int, server_name: str, vm_index: int,
                 path: str) -> VmSpec:
-    """One VM instance. Draw order: vcpus, memory_gb, then tasks in order."""
+    """One VM instance. Its fields draw in document key order."""
     _check_keys(entry, _VM_KEYS, path)
     vcpus_doc = entry.get("vcpus")
     memory_doc = entry.get("memory_gb")
@@ -464,17 +567,23 @@ def _compile_vm(entry: dict, rng: RngStream, catalog: Catalog,
     name = _format_name(entry["name"], f"{path}.name",
                         server_index=server_index, server_name=server_name,
                         vm_index=vm_index)
-    vcpus = _sample_int(vcpus_doc, rng, f"{path}.vcpus")
-    memory_gb = _sample_number(memory_doc, rng, f"{path}.memory_gb")
-    tasks: list[Task] = []
     task_docs = entry.get("tasks", [])
     if not isinstance(task_docs, list):
         raise ScenarioSpecError(f"{path}.tasks: expected a list")
-    for ti, task_doc in enumerate(task_docs):
-        tasks.extend(_compile_task(task_doc, rng, f"{path}.tasks[{ti}]"))
+    order = [key for key in entry if key in _VM_FIELDS]
+    values: dict[str, Any] = {}
+    for key in order + [key for key in _VM_FIELDS if key not in order]:
+        if key == "vcpus":
+            values[key] = _sample_int(vcpus_doc, rng, f"{path}.vcpus")
+        elif key == "memory_gb":
+            values[key] = _sample_number(memory_doc, rng, f"{path}.memory_gb")
+        else:
+            values[key] = tuple(
+                task for ti, task_doc in enumerate(task_docs)
+                for task in _compile_task(task_doc, rng, f"{path}.tasks[{ti}]")
+            )
     try:
-        return VmSpec(name=name, vcpus=vcpus, memory_gb=memory_gb,
-                      tasks=tuple(tasks))
+        return VmSpec(name=name, **values)
     except ConfigurationError as exc:
         raise ScenarioSpecError(f"{path}: {exc}") from exc
 
@@ -723,7 +832,8 @@ def compile_spec(doc: dict, catalog: Catalog | None = None) -> FleetScenario:
                                       "spec.servers_per_rack", default=16)
 
     factory = RngFactory(seed)
-    servers = _compile_servers(doc.get("servers"), catalog, "spec.servers")
+    servers = _compile_servers(doc.get("servers"), catalog, factory,
+                               "spec.servers")
     names = [spec.name for spec in servers]
     placements: list[list[VmSpec]] = [[] for _ in servers]
     committed = _Committed(servers)
@@ -749,6 +859,24 @@ def compile_spec(doc: dict, catalog: Catalog | None = None) -> FleetScenario:
             placements[index].append(vm)
             initial_home[vm.name] = index
 
+    def place(index: int, entries: list[tuple[dict, str]], rng: RngStream,
+              clamp: bool) -> None:
+        """One server's share of a placement block. With ``clamp``, each
+        VM's vCPUs shrink to the server's remaining ``int(vcpu_limit)``
+        and the server takes no more VMs once none is left."""
+        for vm_entry, vpath in entries:
+            count = _require_count(vm_entry.get("count"), f"{vpath}.count",
+                                   rng=rng)
+            for _ in range(count):
+                left = int(servers[index].vcpu_limit) - committed.vcpus[index]
+                if clamp and left < 1:
+                    return
+                vm = _compile_vm(vm_entry, rng, catalog, index, names[index],
+                                 len(placements[index]), vpath)
+                if clamp and vm.vcpus > left:
+                    vm = replace(vm, vcpus=left)
+                register(index, vm, vpath, True)
+
     # Initial placements.
     blocks = doc.get("placements", [])
     if not isinstance(blocks, list):
@@ -764,17 +892,14 @@ def compile_spec(doc: dict, catalog: Catalog | None = None) -> FleetScenario:
         vm_entries = block["vms"]
         if not isinstance(vm_entries, list) or not vm_entries:
             raise ScenarioSpecError(f"{bpath}.vms: expected a non-empty list")
+        entries = [
+            (_require_mapping(vm_entry, f"{bpath}.vms[{vi}]"),
+             f"{bpath}.vms[{vi}]")
+            for vi, vm_entry in enumerate(vm_entries)
+        ]
+        clamp = bool(block.get("clamp_vcpus", False))
         for index in selected:
-            rng = stream_for(block, index, bpath)
-            for vi, vm_entry in enumerate(vm_entries):
-                vpath = f"{bpath}.vms[{vi}]"
-                vm_entry = _require_mapping(vm_entry, vpath)
-                count = _require_count(vm_entry.get("count"), f"{vpath}.count")
-                for _ in range(count):
-                    vm = _compile_vm(vm_entry, rng, catalog, index,
-                                     names[index], len(placements[index]),
-                                     vpath)
-                    register(index, vm, vpath, True)
+            place(index, entries, stream_for(block, index, bpath), clamp)
 
     # Static capacity: every placement must fit its server outright.
     for index, spec in enumerate(servers):

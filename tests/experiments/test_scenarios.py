@@ -235,6 +235,14 @@ class TestModelDriftScenario:
             model_drift_scenario(duration_s=1000.0, ramp_start_s=2000.0)
         with pytest.raises(ConfigurationError):
             model_drift_scenario(shift_fraction=1.5)
+        # Overlapping waves would land a server's second-wave VM before
+        # its first-wave VM.
+        with pytest.raises(ConfigurationError, match="overlap"):
+            model_drift_scenario(
+                n_classes=2, servers_per_class=4, shift_start_s=2400.0,
+                shift_window_s=1800.0, second_wave_start_s=3000.0,
+                second_wave_window_s=600.0,
+            )
 
 
 class TestControlStressScenarios:
@@ -314,6 +322,9 @@ class TestControlStressScenarios:
             thermal_cascade_scenario(n_servers=4)
         with pytest.raises(ConfigurationError):
             flash_crowd_scenario(spike_time_s=5000.0, duration_s=3600.0)
+        for hot_fraction in (1.5, -1.0):
+            with pytest.raises(ConfigurationError, match="hot_fraction"):
+                flash_crowd_scenario(n_servers=8, hot_fraction=hot_fraction)
 
 
 class TestFleetScenarioValidation:

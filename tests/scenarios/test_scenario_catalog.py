@@ -20,7 +20,7 @@ class TestHardwareType:
         assert spec.cpu_overcommit == 2.0
 
     def test_stress_sku_matches_hand_coded_stress_servers(self):
-        # The load-bearing identity behind spec/hand-coded parity.
+        # The stress fleets' servers are exactly the catalog SKU.
         from repro.experiments.scenarios import cooling_failure_scenario
 
         hand = cooling_failure_scenario(n_servers=2).server_specs[0]

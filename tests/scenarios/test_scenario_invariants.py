@@ -9,9 +9,15 @@ from repro.errors import InvariantViolationError
 from repro.experiments.scenarios import FleetScenario
 from repro.scenarios import (
     assert_invariants,
+    class_balanced_fleet_spec,
     compile_spec,
+    cooling_failure_spec,
+    diurnal_fleet_spec,
     flash_crowd_spec,
+    migration_storm_spec,
+    model_drift_spec,
     run_with_invariants,
+    thermal_cascade_spec,
 )
 from repro.thermal.environment import ConstantEnvironment
 
@@ -42,6 +48,48 @@ class TestCleanRuns:
     def test_assert_invariants_helper(self):
         report = assert_invariants(_flash_crowd(n=4))
         assert report.ok
+
+
+#: Every library spec at small size and short duration; each keeps its
+#: timeline events (failure, spike, storm, ramp and waves) inside the run.
+LIBRARY_SMALL = {
+    "diurnal_fleet": (diurnal_fleet_spec, dict(n_servers=6, duration_s=600.0)),
+    "class_balanced_fleet": (
+        class_balanced_fleet_spec,
+        dict(n_classes=2, servers_per_class=3, duration_s=600.0),
+    ),
+    "model_drift": (
+        model_drift_spec,
+        dict(n_classes=2, servers_per_class=3, duration_s=1200.0),
+    ),
+    "migration_storm": (
+        migration_storm_spec,
+        dict(n_servers=6, storm_start_s=60.0, storm_window_s=60.0,
+             duration_s=600.0),
+    ),
+    "cooling_failure": (
+        cooling_failure_spec,
+        dict(n_servers=6, failure_time_s=200.0, duration_s=600.0),
+    ),
+    "thermal_cascade": (thermal_cascade_spec,
+                        dict(n_servers=8, duration_s=600.0)),
+    "flash_crowd": (
+        flash_crowd_spec,
+        dict(n_servers=6, spike_time_s=200.0, duration_s=600.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_SMALL))
+def test_library_spec_runs_clean(name):
+    spec, kwargs = LIBRARY_SMALL[name]
+    scenario = compile_spec(spec(**kwargs))
+    report = run_with_invariants(scenario, check_interval_s=60.0)
+    assert report.ok, report.violations
+    assert report.checks > 0
+    assert report.events_fired >= len(scenario.arrivals) + len(
+        scenario.migrations
+    )
 
 
 class TestViolationCapture:

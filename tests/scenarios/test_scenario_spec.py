@@ -294,3 +294,109 @@ class TestTimeline:
         )
         with pytest.raises(ScenarioSpecError, match="sinusoidal"):
             compile_spec(doc)
+
+
+class TestGenerators:
+    """Hardware distributions, class groups, sampled counts, one_of,
+    key-order VM draws, the amplitude cap and the vCPU clamp."""
+
+    @staticmethod
+    def _vm_doc(**fields):
+        return _base_doc(placements=[{"servers": "all", "vms": [
+            dict({"name": "vm-{server_index}-{vm_index}"}, **fields)
+        ]}])
+
+    def test_hardware_distributions_draw_per_server_in_field_order(self):
+        doc = _base_doc(
+            servers=[{"count": 3, "cpu_cores": {"choice": [8, 16, 32]},
+                      "ghz_per_core": 2.4, "memory_gb": 128.0,
+                      "fan_speed": {"uniform": [0.5, 0.9]}}],
+        )
+        hw = RngFactory(11).stream("hardware")
+        expected = []
+        for _ in range(3):
+            cores = hw.choice([8, 16, 32])
+            expected.append((cores, hw.uniform(0.5, 0.9)))
+        scenario = compile_spec(doc)
+        assert [(s.capacity.cpu_cores, s.fan_speed)
+                for s in scenario.server_specs] == expected
+
+    def test_classes_group_emits_each_servers_per_shuffled_combination(self):
+        group = {"classes": 3, "each": 2, "ghz_per_core": 2.4,
+                 "cpu_cores": {"choice": [8, 16]},
+                 "memory_gb": {"choice": [64.0, 128.0]},
+                 "fan_count": {"choice": [2, 4]}}
+        scenario = compile_spec(_base_doc(servers=[group]))
+        combos = [(c, m, f) for c in (8, 16) for m in (64.0, 128.0)
+                  for f in (2, 4)]
+        RngFactory(11).stream("classes").shuffle(combos)
+        got = [(s.capacity.cpu_cores, s.capacity.memory_gb, s.fan_count)
+               for s in scenario.server_specs]
+        assert got == [combo for combo in combos[:3] for _ in range(2)]
+
+    def test_classes_group_errors(self):
+        base = {"ghz_per_core": 2.4, "cpu_cores": {"choice": [8, 16]},
+                "memory_gb": 64.0}
+        for group, message in (
+            (dict(base, classes=3), "exceed the 2 distinct"),
+            (dict(base, classes=2, count=4), "not 'count'"),
+            (dict(base, count=2, each=2), "only valid with 'classes'"),
+        ):
+            with pytest.raises(ScenarioSpecError, match=message):
+                compile_spec(_base_doc(servers=[group]))
+
+    def test_vm_fields_draw_in_document_key_order(self):
+        fields = {"vcpus": {"randint": [1, 4]},
+                  "memory_gb": {"uniform": [2.0, 8.0]}}
+        forward = compile_spec(self._vm_doc(**fields)).vm_specs[0][0]
+        backward = compile_spec(self._vm_doc(
+            **dict(reversed(list(fields.items())))
+        )).vm_specs[0][0]
+        rng = RngFactory(11).stream("vms/0")
+        assert forward.vcpus == rng.randint(1, 4)
+        assert forward.memory_gb == rng.uniform(2.0, 8.0)
+        rng = RngFactory(11).stream("vms/0")
+        assert backward.memory_gb == rng.uniform(2.0, 8.0)
+        assert backward.vcpus == rng.randint(1, 4)
+
+    def test_sampled_count_and_one_of(self):
+        doc = self._vm_doc(
+            count={"randint": [1, 3]}, vcpus=1, memory_gb=1.0,
+            tasks=[{"one_of": [{"constant": 0.1}, {"constant": 0.9}]}],
+        )
+        scenario = compile_spec(doc)
+        for i, vms in enumerate(scenario.vm_specs):
+            rng = RngFactory(11).stream(f"vms/{i}")
+            assert len(vms) == rng.randint(1, 3)
+            for vm in vms:
+                level = (0.1, 0.9)[rng.choice([0, 1])]
+                assert vm.tasks[0].level == level
+        with pytest.raises(ScenarioSpecError, match="one_of"):
+            compile_spec(self._vm_doc(vcpus=1, memory_gb=1.0, tasks=[
+                {"one_of": [], "count": 2}
+            ]))
+
+    def test_periodic_amplitude_upper_bound_is_capped(self):
+        task = {"periodic": {"mean": 0.1,
+                             "amplitude": {"uniform": [0.05, 0.3]}}}
+        scenario = compile_spec(self._vm_doc(vcpus=1, memory_gb=1.0,
+                                             tasks=[task] * 20))
+        amplitudes = [t.amplitude for vms in scenario.vm_specs
+                      for vm in vms for t in vm.tasks]
+        assert max(amplitudes) <= 0.1
+        task["periodic"]["amplitude"] = {"uniform": [0.2, 0.3]}
+        with pytest.raises(ScenarioSpecError, match="exceeds the cap"):
+            compile_spec(self._vm_doc(vcpus=1, memory_gb=1.0, tasks=[task]))
+
+    def test_clamp_vcpus_fills_the_limit_then_stops(self):
+        doc = self._vm_doc(count=3, vcpus=12, memory_gb=1.0)
+        with pytest.raises(ScenarioSpecError, match="overcommitted on vCPUs"):
+            compile_spec(doc)
+        doc["placements"][0]["clamp_vcpus"] = True
+        scenario = compile_spec(doc)  # stress SKU: 16 cores x 2 = 32 vCPUs
+        assert [[vm.vcpus for vm in vms] for vms in scenario.vm_specs] == [
+            [12, 12, 8]
+        ] * 3
+        doc["placements"][0]["vms"][0]["count"] = 5
+        scenario = compile_spec(doc)
+        assert all(len(vms) == 3 for vms in scenario.vm_specs)
