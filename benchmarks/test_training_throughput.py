@@ -5,8 +5,12 @@ Documents the training-layer headline claims:
 * the easygrid-style (C, γ, ε) search over the default 4×4×2 grid with
   10-fold CV runs ≥4× faster than the seed triple-nested loop (fresh
   estimator, fresh kernel evaluation per point and fold) — via shared
-  per-fold Gram caches, the lockstep batched SMO, and warm starts along
-  each C path;
+  per-fold Gram caches and one lockstep batch of every (C, γ, ε, fold)
+  SMO problem;
+* the same single path also serves the paper figures' search (the
+  figure grids with one k-fold shuffle per grid point, ``rng`` given):
+  its trials are bit-identical to the seed loop's, and its walltime is
+  reported against it without a floor;
 * training a 16-class fleet registry (shared scaler + shared search +
   one batched refit pass) runs ≥4× faster than 16 sequential seed-style
   ``train_stable_predictor`` calls.
@@ -24,6 +28,12 @@ import numpy as np
 from benchmarks.conftest import record_table
 from repro.core.features import FeatureExtractor
 from repro.core.stable import StableTemperaturePredictor
+from repro.experiments.figures import (
+    FIGURE_C_GRID,
+    FIGURE_EPSILON_GRID,
+    FIGURE_GAMMA_GRID,
+)
+from repro.rng import RngStream
 from repro.svm.grid import (
     DEFAULT_C_GRID,
     DEFAULT_EPSILON_GRID,
@@ -91,9 +101,11 @@ def _timed(fn, repeats=REPEATS):
 def test_grid_search_speedup_default_grid(labelled_records):
     """Acceptance: ≥4× over the seed loop on the default 4×4×2 grid.
 
-    Runs on the simulated profiling dataset (synthetic records with
-    near-duplicate feature patterns produce unrepresentative, extremely
-    ill-conditioned SMO problems).
+    A second arm runs the figure grids with per-point folds and asserts
+    trials bit-identical to the seed loop (timed, no floor). Runs on the
+    simulated profiling dataset (synthetic records with near-duplicate
+    feature patterns produce unrepresentative, extremely ill-conditioned
+    SMO problems).
     """
     extractor = FeatureExtractor()
     records = labelled_records[:N_GRID_RECORDS]
@@ -106,8 +118,22 @@ def test_grid_search_speedup_default_grid(labelled_records):
     default_result, default_elapsed = _timed(
         lambda: grid_search_svr(x_scaled, y, n_splits=N_SPLITS)
     )
-    warm_result, warm_elapsed = _timed(
-        lambda: grid_search_svr(x_scaled, y, n_splits=N_SPLITS, warm_start=True)
+    figure_grids = dict(
+        c_grid=FIGURE_C_GRID, gamma_grid=FIGURE_GAMMA_GRID,
+        epsilon_grid=FIGURE_EPSILON_GRID,
+    )
+    (_, _, seed_point_trials), seed_point_elapsed = _timed(
+        lambda: seed_grid_search(
+            x_scaled, y, n_splits=N_SPLITS, rng=RngStream(7, "cv"),
+            **figure_grids,
+        ),
+        repeats=1,
+    )
+    point_result, point_elapsed = _timed(
+        lambda: grid_search_svr(
+            x_scaled, y, n_splits=N_SPLITS, rng=RngStream(7, "cv"),
+            **figure_grids,
+        )
     )
 
     default_identical = (
@@ -115,31 +141,36 @@ def test_grid_search_speedup_default_grid(labelled_records):
          default_result.best_epsilon) == seed_best
         and default_result.best_cv_mse == seed_mse
     )
-    same_point = (
-        warm_result.best_c, warm_result.best_gamma, warm_result.best_epsilon
-    ) == seed_best
+    point_identical = [t.astuple() for t in point_result.trials] == (
+        seed_point_trials
+    )
     speedup_default = seed_elapsed / default_elapsed
-    speedup_warm = seed_elapsed / warm_elapsed
+    speedup_point = seed_point_elapsed / point_elapsed
+    n_points = len(FIGURE_C_GRID) * len(FIGURE_GAMMA_GRID) * len(FIGURE_EPSILON_GRID)
     rows = [
-        f"{len(records)} records, {N_SPLITS}-fold CV, "
-        f"{len(DEFAULT_C_GRID) * len(DEFAULT_GAMMA_GRID) * len(DEFAULT_EPSILON_GRID)}"
-        " grid points",
+        f"{len(records)} records, {N_SPLITS}-fold CV",
         "",
+        f"default grid ({len(default_result.trials)} points), shared folds",
         f"{'path':<38}{'walltime':>12}{'speedup':>10}",
         f"{'seed loop (per-point refits)':<38}{seed_elapsed:>10.2f}s{'1.0x':>10}",
         f"{'shared Gram + grid-wide batched SMO':<38}{default_elapsed:>10.2f}s"
         f"{speedup_default:>9.1f}x",
-        f"{'warm-started C stages':<38}{warm_elapsed:>10.2f}s"
-        f"{speedup_warm:>9.1f}x",
         "",
-        f"default path bit-identical to seed: {default_identical}",
-        f"warm start selects the same point:  {same_point}",
+        f"figure grids ({n_points} points), per-point folds (rng)",
+        f"{'path':<38}{'walltime':>12}{'speedup':>10}",
+        f"{'seed loop (per-point refits)':<38}{seed_point_elapsed:>10.2f}s"
+        f"{'1.0x':>10}",
+        f"{'grid-wide batched SMO':<38}{point_elapsed:>10.2f}s"
+        f"{speedup_point:>9.1f}x",
+        "",
+        f"{'default path bit-identical to seed:':<40}{default_identical}",
+        f"{'per-point trials bit-identical to seed:':<40}{point_identical}",
         f"acceptance: default path >= {SPEEDUP_FLOOR:.0f}x"
         f"{' (smoke scale)' if SMOKE else ''}",
     ]
     record_table("training: grid search throughput (default grid)", "\n".join(rows))
     assert default_identical, "default grid search diverged from the seed loop"
-    assert same_point, "warm-started search selected a different grid point"
+    assert point_identical, "per-point-folds search diverged from the seed loop"
     assert speedup_default >= SPEEDUP_FLOOR, (
         f"grid search speedup {speedup_default:.1f}x below {SPEEDUP_FLOOR:.0f}x"
     )

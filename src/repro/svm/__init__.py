@@ -14,7 +14,7 @@ cross-validation. This subpackage reimplements that tool-chain:
   reports MSE throughout).
 """
 
-from repro.svm.cv import FoldGrams, KFold, cross_val_mse
+from repro.svm.cv import KFold, cross_val_mse
 from repro.svm.grid import GridSearchResult, GridTrial, grid_search_svr
 from repro.svm.kernels import (
     GramCache,
@@ -32,7 +32,6 @@ from repro.svm.svr import EpsilonSVR
 
 __all__ = [
     "EpsilonSVR",
-    "FoldGrams",
     "GramCache",
     "GridSearchResult",
     "GridTrial",

@@ -1,12 +1,8 @@
 """k-fold cross-validation (the paper uses 10-fold).
 
-Besides the splitter and the generic :func:`cross_val_mse`, this module
-holds :class:`FoldGrams` — the shared, precomputed per-fold kernel state
-a grid search reuses across every (C, ε) point and every γ. Fold
-training Grams are cached per fold (squared distances once, one
-``exp(−γ·D²)`` per γ), **not** sliced out of a full-dataset Gram: a
-sliced BLAS product is not bit-identical to the product computed on the
-subset, and bit-parity with the per-fold reference path is the contract.
+The splitter and the generic :func:`cross_val_mse`, which works with any
+:class:`Regressor`. The grid search (:mod:`repro.svm.grid`) draws its
+folds from :class:`KFold` and batches the fold solves itself.
 """
 
 from __future__ import annotations
@@ -17,9 +13,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.rng import RngStream
-from repro.svm.kernels import GramCache, RbfKernel
 from repro.svm.metrics import mean_squared_error
-from repro.svm.svr import EpsilonSVR
 
 
 class Regressor(Protocol):
@@ -67,121 +61,23 @@ class KFold:
             start += size
 
 
-class FoldGrams:
-    """Precomputed fold splits plus per-fold RBF Gram caches.
-
-    One instance captures everything a k-fold evaluation over a fixed
-    dataset reuses: the (train, validation) index pairs and, per fold, a
-    :class:`~repro.svm.kernels.GramCache` over the fold's training rows.
-    All (C, ε) grid points share the cached Gram for a given γ, and all
-    γ values share each fold's squared-distance matrix. Grams come back
-    as read-only views, bit-identical to evaluating the fold kernel
-    directly.
-    """
-
-    def __init__(
-        self,
-        x: np.ndarray,
-        folds: list[tuple[np.ndarray, np.ndarray]],
-        max_entries: int = 1,
-    ) -> None:
-        if not folds:
-            raise ConfigurationError("FoldGrams needs at least one fold")
-        self.x = np.asarray(x, dtype=float)
-        self.folds = list(folds)
-        self._caches = [
-            GramCache(self.x[train_idx], max_entries=max_entries)
-            for train_idx, _ in self.folds
-        ]
-
-    @classmethod
-    def from_splitter(
-        cls,
-        x: np.ndarray,
-        n_splits: int = 10,
-        rng: RngStream | None = None,
-        max_entries: int = 1,
-    ) -> "FoldGrams":
-        """Build from a :class:`KFold` draw (one shuffle when ``rng`` given)."""
-        x = np.asarray(x, dtype=float)
-        folds = list(KFold(n_splits=n_splits, rng=rng).split(x.shape[0]))
-        return cls(x, folds, max_entries=max_entries)
-
-    @property
-    def n_splits(self) -> int:
-        """Number of folds."""
-        return len(self.folds)
-
-    def gram(self, fold: int, gamma: float) -> np.ndarray:
-        """Cached training Gram of ``fold`` for ``RbfKernel(gamma)``."""
-        return self._caches[fold].gram(gamma)
-
-    @property
-    def hits(self) -> int:
-        """Total cache hits across folds."""
-        return sum(cache.hits for cache in self._caches)
-
-    @property
-    def misses(self) -> int:
-        """Total cache misses across folds."""
-        return sum(cache.misses for cache in self._caches)
-
-
 def cross_val_mse(
     model: Regressor,
     x: np.ndarray,
     y: np.ndarray,
     n_splits: int = 10,
     rng: RngStream | None = None,
-    fold_grams: FoldGrams | None = None,
 ) -> float:
     """Mean validation MSE of ``model`` across k folds.
 
     The model is cloned per fold, so the argument is never mutated.
-    When ``fold_grams`` is supplied (and the model is an RBF-kernel
-    estimator whose ``fit`` accepts a precomputed ``gram``), each fold is
-    fitted against the cached fold Gram instead of re-evaluating the
-    kernel — bit-identical to the plain path, since the cache reproduces
-    the exact per-fold kernel computation. ``n_splits``/``rng`` are
-    ignored in that case; the plan's folds define the split.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if fold_grams is None:
-        folds = KFold(n_splits=n_splits, rng=rng).split(x.shape[0])
-    else:
-        if fold_grams.x is not x and (
-            fold_grams.x.shape != x.shape
-            or not np.array_equal(fold_grams.x, x)
-        ):
-            raise ConfigurationError(
-                "fold_grams was built over a different dataset than x — "
-                "the cached Grams would not match the fold rows"
-            )
-        folds = iter(fold_grams.folds)
     scores = []
-    for fold_index, (train_idx, val_idx) in enumerate(folds):
+    for train_idx, val_idx in KFold(n_splits=n_splits, rng=rng).split(x.shape[0]):
         fold_model = model.clone()
-        if fold_grams is not None and _rbf_gamma(fold_model) is not None:
-            gram = fold_grams.gram(fold_index, _rbf_gamma(fold_model))
-            fold_model.fit(x[train_idx], y[train_idx], gram=gram)
-        else:
-            fold_model.fit(x[train_idx], y[train_idx])
+        fold_model.fit(x[train_idx], y[train_idx])
         predictions = fold_model.predict(x[val_idx])
         scores.append(mean_squared_error(y[val_idx].tolist(), np.atleast_1d(predictions).tolist()))
     return sum(scores) / len(scores)
-
-
-def _rbf_gamma(model: Regressor) -> float | None:
-    """The model's RBF γ when it can fit from a precomputed Gram.
-
-    Only :class:`~repro.svm.svr.EpsilonSVR` exposes the
-    ``fit(..., gram=...)`` entry point; other estimators (e.g.
-    :class:`~repro.svm.ridge.KernelRidge`) fall back to the plain path
-    even inside a cached plan.
-    """
-    if not isinstance(model, EpsilonSVR):
-        return None
-    if isinstance(model.kernel, RbfKernel):
-        return model.kernel.gamma
-    return None

@@ -5,44 +5,31 @@ tool for grid parameter search, with 10-fold validation." easygrid walks a
 log₂ grid of (C, γ); we additionally expose ε since LIBSVM's regression
 tube width matters for temperature-scale targets.
 
-The search runs on shared, precomputed state rather than refitting from
-scratch per point: a work queue of (γ, ε) *C-path* tasks evaluates all
-folds of a grid point through one batched SMO solve
-(:func:`~repro.svm.smo.solve_svr_dual_batch`), against per-fold Gram
-caches (:class:`~repro.svm.cv.FoldGrams`) that compute each fold's
-squared distances once for the whole grid and each ``exp(−γ·D²)`` once
-per γ. At default settings the result — every trial MSE, the selected
-(C, γ, ε) and the refit model — is **bit-identical** to the historical
-loop that cloned and refitted an estimator per point and fold (enforced
-by ``tests/training/test_grid_parity.py``).
-
-Two accelerations stay behind flags until callers opt in, mirroring the
-fleet-engine parity discipline:
-
-* ``warm_start`` carries the dual coefficients β across adjacent C
-  values of each C-path (a regularization path), cutting SMO iterations
-  — at the cost of staging the C dimension instead of solving the whole
-  grid in one lockstep batch, so measure per workload. Solutions agree
-  to solver tolerance but not bitwise, so the flag defaults to off.
-* ``n_jobs``/``backend`` fan the work queue out over a thread or
-  process pool. Results are deposited by grid-point key and the
-  selection scan runs in the sequential point order, so the outcome is
-  deterministic and seed-stable regardless of completion order.
+Every search goes through one path: all (C, γ, ε, fold) problems of the
+grid are solved in one lockstep batch
+(:func:`~repro.svm.smo.solve_svr_dual_batch`, chunked only to bound
+memory) against per-fold Gram caches
+(:class:`~repro.svm.kernels.GramCache`) that compute each fold's squared
+distances once and each ``exp(−γ·D²)`` once per γ. Folds are shared
+across the grid when ``rng`` is None and drawn per grid point otherwise.
+The result — every trial MSE, the selected (C, γ, ε) and the refit
+model — is **bit-identical** to the historical loop that cloned and
+refitted an estimator per point and fold (enforced by
+``tests/training/test_grid_parity.py``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.rng import RngStream
-from repro.svm.cv import FoldGrams, KFold
-from repro.svm.kernels import RbfKernel
+from repro.svm.cv import KFold
+from repro.svm.kernels import GramCache, RbfKernel
 from repro.svm.metrics import mean_squared_error
-from repro.svm.smo import solve_svr_dual_batch
+from repro.svm.smo import SmoResult, solve_svr_dual_batch
 from repro.svm.svr import EpsilonSVR
 
 #: Default log₂-style grids, a compact version of easygrid's defaults
@@ -123,85 +110,6 @@ class GridSearchResult:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _GridTask:
-    """One work-queue item: a C-path at fixed (γ, ε) over fixed folds.
-
-    Grouping all C values of a (γ, ε) pair into one task lets the
-    evaluation reuse the fold Grams across the whole path and — with
-    ``warm_start`` — chain β along adjacent C values, while tasks stay
-    independent for the pool backends.
-    """
-
-    gamma: float
-    epsilon: float
-    c_values: tuple[float, ...]
-    #: (train_idx, val_idx) per fold; per-point mode carries each grid
-    #: point's own draw (single-entry ``c_values``).
-    folds: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def _evaluate_task(
-    task: _GridTask,
-    x: np.ndarray,
-    y: np.ndarray,
-    max_iter: int,
-    warm_start: bool,
-    fold_grams: FoldGrams | None = None,
-) -> list[tuple[float, float, float, float]]:
-    """Evaluate every C of one task; returns (c, γ, ε, cv_mse) rows.
-
-    The per-fold reference computation is replicated exactly: each fold
-    fits on ``x[train_idx]`` with the cached fold Gram (bit-identical to
-    evaluating the kernel directly), retains support vectors, and scores
-    the validation rows through the standard ``EpsilonSVR.predict``
-    path.
-    """
-    if fold_grams is None:
-        fold_grams = FoldGrams(x, list(task.folds))
-    folds = fold_grams.folds
-    train_targets = [y[train_idx] for train_idx, _ in folds]
-    rows: list[tuple[float, float, float, float]] = []
-    betas: list[np.ndarray | None] | None = None
-    for c in task.c_values:
-        grams = [fold_grams.gram(i, task.gamma) for i in range(len(folds))]
-        results = solve_svr_dual_batch(
-            grams,
-            train_targets,
-            c=c,
-            epsilon=task.epsilon,
-            max_iter=max_iter,
-            on_no_convergence="ignore",
-            beta0s=betas,
-        )
-        scores = []
-        for (train_idx, val_idx), result in zip(folds, results):
-            model = EpsilonSVR(
-                kernel=RbfKernel(gamma=task.gamma),
-                c=c,
-                epsilon=task.epsilon,
-                max_iter=max_iter,
-                on_no_convergence="ignore",
-            )
-            model.adopt_solution(x[train_idx], result)
-            predictions = model.predict(x[val_idx])
-            scores.append(
-                mean_squared_error(
-                    y[val_idx].tolist(), np.atleast_1d(predictions).tolist()
-                )
-            )
-        rows.append((c, task.gamma, task.epsilon, sum(scores) / len(scores)))
-        if warm_start:
-            betas = [result.beta for result in results]
-    return rows
-
-
-def _pool_evaluate(args) -> list[tuple[float, float, float, float]]:
-    """Top-level pool entry point (picklable for the process backend)."""
-    task, x, y, max_iter, warm_start = args
-    return _evaluate_task(task, x, y, max_iter, warm_start)
-
-
 #: Cap on the stacked-kernel size (elements) of one lockstep batch.
 #: ~256 MB of float64: big enough that the default grid over a few
 #: hundred records stays in one batch, small enough that thousand-record
@@ -209,92 +117,84 @@ def _pool_evaluate(args) -> list[tuple[float, float, float, float]]:
 _MAX_BATCH_ELEMENTS = 32 * 1024 * 1024
 
 
-def _solve_batch_chunked(grams, targets, cs, epsilons, max_iter, betas):
-    """``solve_svr_dual_batch`` split into memory-bounded chunks.
+def _solve_batch_chunked(
+    x: np.ndarray,
+    y: np.ndarray,
+    problems: list[tuple[float, float, float, np.ndarray]],
+    max_iter: int,
+) -> list[SmoResult]:
+    """Solve (C, γ, ε, train_idx) problems in memory-bounded lockstep chunks.
 
     Problems are independent, so slicing the batch changes nothing but
     peak memory: each chunk is capped at :data:`_MAX_BATCH_ELEMENTS`
-    stacked-kernel elements (padded problems cost m² each).
+    stacked-kernel elements (padded problems cost m² each), and its
+    training Grams are built only when the chunk is solved. Each
+    distinct training row set gets one :class:`GramCache` — squared
+    distances once, one ``exp(−γ·D²)`` per γ, bit-identical to
+    evaluating the fold kernel directly — which is dropped after the
+    last problem that uses it.
     """
-    n = len(grams)
-    m = max((gram.shape[0] for gram in grams), default=0)
-    chunk = n if m == 0 else max(1, _MAX_BATCH_ELEMENTS // (m * m))
-    if chunk >= n:
-        return solve_svr_dual_batch(
-            grams, targets, c=cs, epsilon=epsilons, max_iter=max_iter,
-            on_no_convergence="ignore", beta0s=betas,
-        )
-    results = []
-    for start in range(0, n, chunk):
-        stop = start + chunk
+    keys = [train_idx.tobytes() for *_, train_idx in problems]
+    last_use = {key: index for index, key in enumerate(keys)}
+    n_gammas = len({gamma for _, gamma, _, _ in problems})
+    caches: dict[bytes, GramCache] = {}
+
+    def gram(index: int) -> np.ndarray:
+        _, gamma, _, train_idx = problems[index]
+        key = keys[index]
+        if key not in caches:
+            caches[key] = GramCache(x[train_idx], max_entries=n_gammas)
+        value = caches[key].gram(gamma)
+        if last_use[key] == index:
+            del caches[key]
+        return value
+
+    m = max(len(train_idx) for *_, train_idx in problems)
+    chunk = max(1, _MAX_BATCH_ELEMENTS // (m * m))
+    results: list[SmoResult] = []
+    for start in range(0, len(problems), chunk):
+        batch = range(start, min(start + chunk, len(problems)))
         results.extend(
             solve_svr_dual_batch(
-                grams[start:stop],
-                targets[start:stop],
-                c=cs[start:stop],
-                epsilon=epsilons[start:stop],
+                [gram(i) for i in batch],
+                [y[problems[i][3]] for i in batch],
+                c=[problems[i][0] for i in batch],
+                epsilon=[problems[i][2] for i in batch],
                 max_iter=max_iter,
                 on_no_convergence="ignore",
-                beta0s=None if betas is None else betas[start:stop],
             )
         )
     return results
 
 
-def _evaluate_megabatch(
+def _evaluate_grid(
     x: np.ndarray,
     y: np.ndarray,
-    folds: tuple[tuple[np.ndarray, np.ndarray], ...],
-    c_grid: tuple[float, ...],
-    gamma_grid: tuple[float, ...],
-    epsilon_grid: tuple[float, ...],
+    point_order: list[tuple[float, float, float]],
+    point_folds: list[tuple[tuple[np.ndarray, np.ndarray], ...]],
     max_iter: int,
-    warm_start: bool,
-) -> dict[tuple[float, float, float], float]:
-    """Serial shared-folds evaluation over one (or few) lockstep batches.
+) -> list[float]:
+    """k-fold CV MSE of every grid point, in ``point_order``.
 
-    Cold (the default): **every** (C, γ, ε, fold) problem of the whole
-    grid advances in a single batch — the solver supports per-problem C
-    and ε — so the search costs roughly the *slowest single problem*'s
-    iterations rather than the sum over points; finished problems
-    compact out and the last stragglers finish on the scalar loop. With
-    ``warm_start``, the C dimension runs in stages instead so each
-    problem's β chains to the next C of its path. Fold Grams are cached
-    per (γ, fold) either way, and per-problem results remain
-    bit-identical to the sequential reference. The stacked fold kernels
-    (B = grid points × folds, m²·8 bytes each) are capped at
-    :data:`_MAX_BATCH_ELEMENTS` per lockstep batch — larger searches
-    split into chunks, which changes peak memory and nothing else.
+    **Every** (C, γ, ε, fold) problem of the search advances in one
+    lockstep batch (chunked only for memory) — the solver supports
+    per-problem C and ε — so the search costs roughly the slowest
+    single problem's iterations rather than the sum over points.
+    Each fold is then scored exactly as the per-fold reference does:
+    the solution is adopted over ``x[train_idx]`` (support vectors
+    retained) and the validation rows go through
+    ``EpsilonSVR.predict``.
     """
-    fold_grams = FoldGrams(x, list(folds), max_entries=len(gamma_grid))
-    train_targets = [y[train_idx] for train_idx, _ in folds]
-    path = [
-        (gamma, epsilon)
-        for gamma in gamma_grid
-        for epsilon in epsilon_grid
+    problems = [
+        (c, gamma, epsilon, train_idx)
+        for (c, gamma, epsilon), folds in zip(point_order, point_folds)
+        for train_idx, _ in folds
     ]
-    # Warm start chains along C stages; cold solves the whole grid at once.
-    c_stages = [(c,) for c in c_grid] if warm_start else [tuple(c_grid)]
-    scores: dict[tuple[float, float, float], float] = {}
-    betas: list[np.ndarray | None] | None = None
-    for stage in c_stages:
-        problems = [
-            (c, gamma, epsilon, fold)
-            for c in stage
-            for (gamma, epsilon) in path
-            for fold in range(len(folds))
-        ]
-        results = _solve_batch_chunked(
-            [fold_grams.gram(fold, gamma) for _, gamma, _, fold in problems],
-            [train_targets[fold] for _, _, _, fold in problems],
-            [c for c, _, _, _ in problems],
-            [epsilon for _, _, epsilon, _ in problems],
-            max_iter,
-            betas,
-        )
-        fold_scores: dict[tuple[float, float, float], list[float]] = {}
-        for (c, gamma, epsilon, fold), result in zip(problems, results):
-            train_idx, val_idx = folds[fold]
+    results = iter(_solve_batch_chunked(x, y, problems, max_iter))
+    scores: list[float] = []
+    for (c, gamma, epsilon), folds in zip(point_order, point_folds):
+        fold_mses = []
+        for (train_idx, val_idx), result in zip(folds, results):
             model = EpsilonSVR(
                 kernel=RbfKernel(gamma=gamma),
                 c=c,
@@ -304,15 +204,12 @@ def _evaluate_megabatch(
             )
             model.adopt_solution(x[train_idx], result)
             predictions = model.predict(x[val_idx])
-            fold_scores.setdefault((c, gamma, epsilon), []).append(
+            fold_mses.append(
                 mean_squared_error(
                     y[val_idx].tolist(), np.atleast_1d(predictions).tolist()
                 )
             )
-        for point, values in fold_scores.items():
-            scores[point] = sum(values) / len(values)
-        if warm_start:
-            betas = [result.beta for result in results]
+        scores.append(sum(fold_mses) / len(fold_mses))
     return scores
 
 
@@ -325,42 +222,27 @@ def grid_search_svr(
     n_splits: int = 10,
     rng: RngStream | None = None,
     max_iter: int = 50_000,
-    warm_start: bool = False,
-    n_jobs: int = 1,
-    backend: str = "thread",
-    shared_folds: bool = False,
 ) -> GridSearchResult:
     """Exhaustive (C, γ, ε) search minimizing k-fold CV MSE.
 
     Ties break toward smaller C then larger γ (preferring the smoother,
     better-regularized model), making results deterministic. Trials are
     reported in (C → γ → ε) enumeration order and the winner is selected
-    by a sequential scan in that order, so the outcome does not depend
-    on the execution backend.
+    by a sequential scan in that order.
 
-    Parameters beyond the historical signature
-    ------------------------------------------
-    warm_start:
-        Chain β along adjacent C values of each (γ, ε) path. Faster but
-        only tolerance-equal to cold solves; requires folds shared
-        across the path (``rng=None`` or ``shared_folds=True``).
-    n_jobs / backend:
-        Fan the work queue out over a ``"thread"`` or ``"process"``
-        pool of ``n_jobs`` workers; ``n_jobs=1`` runs in-process.
-    shared_folds:
-        With an ``rng``, draw the k-fold shuffle **once** for the whole
-        grid (easygrid's behaviour) instead of the historical one draw
-        per grid point. Ignored when ``rng`` is None (a single identity
-        split is always shared then).
+    With ``rng=None`` every grid point shares the identity k-fold split;
+    with an ``rng`` each point draws its own shuffle, in enumeration
+    order. Each grid must be non-empty and free of repeated values (a
+    repeated value would name two trials by the same point).
     """
-    if not c_grid or not gamma_grid or not epsilon_grid:
-        raise ConfigurationError("all grids must be non-empty")
-    if n_jobs < 1:
-        raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
-    if backend not in ("thread", "process"):
-        raise ConfigurationError(
-            f"backend must be 'thread' or 'process', got {backend!r}"
-        )
+    for name, grid in (
+        ("c_grid", c_grid), ("gamma_grid", gamma_grid),
+        ("epsilon_grid", epsilon_grid),
+    ):
+        if not grid:
+            raise ConfigurationError(f"{name} must be non-empty")
+        if len(set(grid)) != len(grid):
+            raise ConfigurationError(f"{name} repeats a value: {tuple(grid)}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n_samples = x.shape[0]
@@ -370,55 +252,18 @@ def grid_search_svr(
         for gamma in gamma_grid
         for epsilon in epsilon_grid
     ]
-
-    one_split = rng is None or shared_folds
-    if warm_start and not one_split:
-        raise ConfigurationError(
-            "warm_start carries solutions along each C path, which requires "
-            "folds shared across the path: pass rng=None or shared_folds=True"
-        )
-    if one_split:
-        shared = tuple(KFold(n_splits=n_splits, rng=rng).split(n_samples))
-        # γ-major task order maximizes Gram-cache hits in serial runs.
-        tasks = [
-            _GridTask(gamma=gamma, epsilon=epsilon, c_values=tuple(c_grid),
-                      folds=shared)
-            for gamma in gamma_grid
-            for epsilon in epsilon_grid
-        ]
+    if rng is None:
+        shared = tuple(KFold(n_splits=n_splits).split(n_samples))
+        point_folds = [shared] * len(point_order)
     else:
-        # Historical semantics: one independent shuffle per grid point,
-        # drawn here in enumeration order so the stream is consumed
-        # exactly as the sequential loop consumed it.
-        tasks = [
-            _GridTask(
-                gamma=gamma, epsilon=epsilon, c_values=(c,),
-                folds=tuple(KFold(n_splits=n_splits, rng=rng).split(n_samples)),
-            )
-            for (c, gamma, epsilon) in point_order
+        # One independent shuffle per grid point, drawn in enumeration
+        # order so the stream is consumed exactly as the sequential
+        # reference loop consumed it.
+        point_folds = [
+            tuple(KFold(n_splits=n_splits, rng=rng).split(n_samples))
+            for _ in point_order
         ]
-
-    scores: dict[tuple[float, float, float], float] = {}
-    if n_jobs == 1:
-        if one_split:
-            scores = _evaluate_megabatch(
-                x, y, shared, c_grid, gamma_grid, epsilon_grid,
-                max_iter, warm_start,
-            )
-        else:
-            for task in tasks:
-                rows = _evaluate_task(task, x, y, max_iter, warm_start)
-                for c, gamma, epsilon, mse in rows:
-                    scores[(c, gamma, epsilon)] = mse
-    else:
-        executor_cls = (
-            ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-        )
-        payloads = [(task, x, y, max_iter, warm_start) for task in tasks]
-        with executor_cls(max_workers=n_jobs) as executor:
-            for rows in executor.map(_pool_evaluate, payloads):
-                for c, gamma, epsilon, mse in rows:
-                    scores[(c, gamma, epsilon)] = mse
+    scores = _evaluate_grid(x, y, point_order, point_folds, max_iter)
 
     # Selection replicates the historical sequential scan verbatim, so
     # the winner (including tie-breaks) is independent of how and in
@@ -426,8 +271,7 @@ def grid_search_svr(
     trials: list[GridTrial] = []
     best: tuple[float, float, float] | None = None
     best_mse = float("inf")
-    for c, gamma, epsilon in point_order:
-        mse = scores[(c, gamma, epsilon)]
+    for (c, gamma, epsilon), mse in zip(point_order, scores):
         trials.append(GridTrial(c=c, gamma=gamma, epsilon=epsilon, cv_mse=mse))
         better = mse < best_mse - 1e-12
         tie = abs(mse - best_mse) <= 1e-12

@@ -12,6 +12,10 @@ updated, selects the maximal violating pair each iteration (LIBSVM's
 working-set selection 1), solves the two-variable subproblem analytically
 and clips to the box. Convergence is declared when the KKT violation gap
 ``m(a) − M(a)`` drops below ``tol``.
+
+Every solve starts cold from ``β = 0``. :func:`solve_svr_dual_batch`
+advances many independent problems in lockstep, each bit-identical to
+solving it alone with :func:`solve_svr_dual`.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ def solve_svr_dual(
     tol: float = 1e-3,
     max_iter: int = 200_000,
     on_no_convergence: str = "warn",
-    beta0: np.ndarray | None = None,
 ) -> SmoResult:
     """Run SMO on a precomputed Gram matrix.
 
@@ -84,15 +87,10 @@ def solve_svr_dual(
     tol:
         KKT gap tolerance (LIBSVM's ``-e``, default 1e-3).
     max_iter:
-        Iteration budget.
+        Iteration budget (>= 1).
     on_no_convergence:
         ``"warn"`` (default), ``"raise"`` or ``"ignore"`` when the budget
         is exhausted before the gap criterion is met.
-    beta0:
-        Optional warm start: dual coefficients ``α − α*`` of a previous
-        solution (typically the adjacent C on a regularization path).
-        Clipped to the new box ``[−C, C]``; ``None`` starts cold from
-        zeros, which is bit-identical to the historical behaviour.
     """
     k = np.asarray(kernel_matrix, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -105,6 +103,8 @@ def solve_svr_dual(
         raise ConfigurationError(f"C must be > 0, got {c}")
     if epsilon < 0:
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     if on_no_convergence not in ("warn", "raise", "ignore"):
         raise ConfigurationError(
             f"on_no_convergence must be 'warn', 'raise' or 'ignore', "
@@ -115,19 +115,9 @@ def solve_svr_dual(
             beta=np.zeros(0), bias=0.0, iterations=0, kkt_gap=0.0, converged=True
         )
 
-    if beta0 is None:
-        alpha_plus = np.zeros(n)
-        alpha_minus = np.zeros(n)
-        u = np.zeros(n)  # u = K @ beta, maintained incrementally
-    else:
-        beta0 = np.asarray(beta0, dtype=float)
-        if beta0.shape != (n,):
-            raise ConfigurationError(
-                f"beta0 shape {beta0.shape} does not match {n} targets"
-            )
-        alpha_plus = np.clip(beta0, 0.0, c)
-        alpha_minus = np.clip(-beta0, 0.0, c)
-        u = k @ (alpha_plus - alpha_minus)
+    alpha_plus = np.zeros(n)
+    alpha_minus = np.zeros(n)
+    u = np.zeros(n)  # u = K @ beta, maintained incrementally
 
     iterations, gap, converged = _smo_loop(
         k, y, c, epsilon, tol, max_iter, alpha_plus, alpha_minus, u,
@@ -171,7 +161,7 @@ def _smo_loop(
 
     Mutates ``alpha_plus``/``alpha_minus``/``u`` in place; returns
     ``(iterations, gap, converged)``. Shared by :func:`solve_svr_dual`
-    (which starts it from zeros or a warm start) and by the batched
+    (which starts it from zeros) and by the batched
     solver's straggler hand-off: once a lockstep batch has thinned to a
     last slow problem or two, finishing them here costs a scalar
     iteration per step instead of a full batch round. The hand-off is
@@ -285,7 +275,6 @@ def solve_svr_dual_batch(
     tol: float = 1e-3,
     max_iter: int = 200_000,
     on_no_convergence: str = "warn",
-    beta0s: "list[np.ndarray | None] | None" = None,
 ) -> "list[SmoResult]":
     """Solve many independent ε-SVR duals in lockstep.
 
@@ -308,19 +297,14 @@ def solve_svr_dual_batch(
     pay the whole batch's width.
 
     Parameters mirror :func:`solve_svr_dual`; ``c`` and ``epsilon`` may
-    be per-problem sequences (a cold grid search batches *every*
-    (C, γ, ε, fold) problem of the whole grid together), and ``beta0s``
-    optionally warm-starts each problem. Returns one :class:`SmoResult`
-    per input problem, in order.
+    be per-problem sequences (a grid search batches *every*
+    (C, γ, ε, fold) problem of the whole grid together). Returns one
+    :class:`SmoResult` per input problem, in order.
     """
     n_problems = len(kernel_matrices)
     if len(targets) != n_problems:
         raise ConfigurationError(
             f"{n_problems} kernel matrices but {len(targets)} target vectors"
-        )
-    if beta0s is not None and len(beta0s) != n_problems:
-        raise ConfigurationError(
-            f"{n_problems} kernel matrices but {len(beta0s)} warm starts"
         )
     cs = np.asarray(c, dtype=float)
     if cs.ndim == 0:
@@ -341,6 +325,8 @@ def solve_svr_dual_batch(
         )
     if np.any(epsilons < 0):
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     if on_no_convergence not in ("warn", "raise", "ignore"):
         raise ConfigurationError(
             f"on_no_convergence must be 'warn', 'raise' or 'ignore', "
@@ -380,20 +366,6 @@ def solve_svr_dual_batch(
     alpha_plus = np.zeros((n_problems, m))
     alpha_minus = np.zeros((n_problems, m))
     u = np.zeros((n_problems, m))
-    if beta0s is not None:
-        for b, beta0 in enumerate(beta0s):
-            if beta0 is None:
-                continue
-            beta0 = np.asarray(beta0, dtype=float)
-            n = sizes[b]
-            if beta0.shape != (n,):
-                raise ConfigurationError(
-                    f"problem {b}: beta0 shape {beta0.shape} does not match "
-                    f"{n} targets"
-                )
-            alpha_plus[b, :n] = np.clip(beta0, 0.0, cs[b])
-            alpha_minus[b, :n] = np.clip(-beta0, 0.0, cs[b])
-            u[b, :n] = kernels[b] @ (alpha_plus[b, :n] - alpha_minus[b, :n])
     diag = np.ascontiguousarray(
         big_k[:, np.arange(m), np.arange(m)]
     )

@@ -2,7 +2,10 @@
 equivalent).
 
 Wraps :func:`repro.svm.smo.solve_svr_dual` behind a fit/predict interface
-and keeps only the support vectors for prediction.
+and keeps only the support vectors for prediction. Callers that solve many
+problems at once (grid search, fleet refits) run
+:func:`repro.svm.smo.solve_svr_dual_batch` themselves and install each
+result with :meth:`EpsilonSVR.adopt_solution`.
 """
 
 from __future__ import annotations
@@ -59,22 +62,8 @@ class EpsilonSVR:
 
     # -- training ------------------------------------------------------------
 
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        gram: np.ndarray | None = None,
-        beta0: np.ndarray | None = None,
-    ) -> "EpsilonSVR":
-        """Train on a feature matrix ``x`` (n, d) and targets ``y`` (n,).
-
-        ``gram`` optionally supplies the precomputed training Gram matrix
-        (e.g. from a :class:`~repro.svm.kernels.GramCache`), skipping the
-        kernel evaluation; it must equal ``kernel.gram(x, x)``. ``beta0``
-        warm-starts the SMO solve from a previous solution's dual
-        coefficients (see :func:`~repro.svm.smo.solve_svr_dual`). Both
-        default to the historical cold path, which is bit-identical.
-        """
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "EpsilonSVR":
+        """Train on a feature matrix ``x`` (n, d) and targets ``y`` (n,)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 2:
@@ -83,23 +72,14 @@ class EpsilonSVR:
             raise ValueError(
                 f"y shape {y.shape} does not match {x.shape[0]} samples"
             )
-        if gram is None:
-            gram = self.kernel.gram(x, x)
-        else:
-            gram = np.asarray(gram, dtype=float)
-            if gram.shape != (x.shape[0], x.shape[0]):
-                raise ValueError(
-                    f"gram shape {gram.shape} does not match {x.shape[0]} samples"
-                )
         result = solve_svr_dual(
-            gram,
+            self.kernel.gram(x, x),
             y,
             c=self.c,
             epsilon=self.epsilon,
             tol=self.tol,
             max_iter=self.max_iter,
             on_no_convergence=self.on_no_convergence,
-            beta0=beta0,
         )
         return self.adopt_solution(x, result)
 

@@ -9,8 +9,8 @@
   pass, and register the results (models + shared scaler + aliases) into
   a :class:`~repro.serving.registry.ModelRegistry`.
 
-The heavy lifting (Gram caches, batched fold solves, warm starts, worker
-pools) lives in :mod:`repro.svm`; this package is the policy layer that
+The heavy lifting (Gram caches, the lockstep batch of fold solves) lives
+in :mod:`repro.svm`; this package is the policy layer that
 applies it to the paper's records and to fleet telemetry. See the
 "Training path" section of ``docs/architecture.md``.
 """

@@ -178,13 +178,6 @@ class FleetTrainingConfig:
     min_class_records: int = 4
     #: SMO budget for search and refits.
     max_iter: int = 50_000
-    #: β carried along each C stage of the search. Tolerance-equal and
-    #: occasionally faster, but the default cold search already solves
-    #: the whole grid in one lockstep batch — measure before enabling.
-    warm_start: bool = False
-    #: Worker pool for the search's work queue (1 = in-process).
-    n_jobs: int = 1
-    backend: str = "thread"
 
 
 @dataclass(frozen=True)
@@ -298,9 +291,6 @@ def train_fleet_registry(
         n_splits=config.n_splits,
         rng=None,
         max_iter=config.max_iter,
-        warm_start=config.warm_start,
-        n_jobs=config.n_jobs,
-        backend=config.backend,
     )
 
     # One batched pass refits the fleet-wide default plus every class

@@ -2,11 +2,11 @@
 
 Every trained ψ_stable model in the repo — the paper-figure predictors,
 the CLI's quick models, and the per-server-class fleet registry — comes
-through this module, so the easygrid-style search (shared Gram caches,
-batched fold solves, optional warm start and worker pools; see
-:mod:`repro.svm.grid`) is exercised by one code path rather than three
-near-copies. :func:`repro.core.pipeline.train_stable_predictor` remains
-the stable public entry point and delegates here.
+through this module, so the easygrid-style search (per-fold Gram caches
+and one lockstep batch of fold solves; see :mod:`repro.svm.grid`) is
+exercised by one code path rather than three near-copies.
+:func:`repro.core.pipeline.train_stable_predictor` remains the stable
+public entry point and delegates here.
 """
 
 from __future__ import annotations
@@ -45,19 +45,13 @@ def train_stable_predictor(
     epsilon_grid: tuple[float, ...] = DEFAULT_EPSILON_GRID,
     rng: RngStream | None = None,
     extractor: FeatureExtractor | None = None,
-    warm_start: bool = False,
-    n_jobs: int = 1,
-    backend: str = "thread",
-    shared_folds: bool = False,
 ) -> StableTrainingReport:
     """Grid-search hyper-parameters and fit the final stable model.
 
     The grid search scales features once over the training set (as
     svm-easygrid does) and cross-validates in the scaled space; the final
     predictor re-learns its own scaler during :meth:`fit`, keeping
-    deployment self-contained. The trailing keyword flags forward to
-    :func:`repro.svm.grid.grid_search_svr`; their defaults reproduce the
-    historical search bit-for-bit.
+    deployment self-contained.
     """
     if len(train_records) < n_splits:
         raise DatasetError(
@@ -76,10 +70,6 @@ def train_stable_predictor(
         epsilon_grid=epsilon_grid,
         n_splits=n_splits,
         rng=rng,
-        warm_start=warm_start,
-        n_jobs=n_jobs,
-        backend=backend,
-        shared_folds=shared_folds,
     )
     predictor = StableTemperaturePredictor(
         c=grid.best_c,

@@ -71,64 +71,3 @@ class TestCrossValMse:
         with pytest.raises(Exception):
             model.predict(x[:1])
 
-
-class TestFoldGrams:
-    def make_data(self, n=30, seed=4):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-1, 1, size=(n, 3))
-        y = 4.0 * x[:, 0] + np.sin(2.0 * x[:, 1])
-        return x, y
-
-    def test_cached_path_bit_identical_to_plain(self):
-        from repro.svm.cv import FoldGrams
-        from repro.svm.kernels import RbfKernel
-        from repro.svm.svr import EpsilonSVR
-
-        x, y = self.make_data()
-        model = EpsilonSVR(kernel=RbfKernel(gamma=0.4), c=8.0, epsilon=0.1)
-        plain = cross_val_mse(model, x, y, n_splits=5)
-        plan = FoldGrams.from_splitter(x, n_splits=5)
-        cached = cross_val_mse(model, x, y, fold_grams=plan)
-        assert cached == plain  # bitwise, not approx
-
-    def test_gamma_reuse_hits_cache(self):
-        from repro.svm.cv import FoldGrams
-        from repro.svm.kernels import RbfKernel
-        from repro.svm.svr import EpsilonSVR
-
-        x, y = self.make_data()
-        plan = FoldGrams.from_splitter(x, n_splits=5)
-        model = EpsilonSVR(kernel=RbfKernel(gamma=0.4), c=8.0, epsilon=0.1)
-        cross_val_mse(model, x, y, fold_grams=plan)
-        assert plan.misses == 5 and plan.hits == 0
-        cross_val_mse(
-            model.clone(), x, y, fold_grams=plan
-        )  # same gamma again: all hits
-        assert plan.misses == 5 and plan.hits == 5
-
-    def test_non_rbf_models_fall_back_to_plain_fit(self):
-        from repro.svm.cv import FoldGrams
-
-        x, y = self.make_data()
-        plan = FoldGrams.from_splitter(x, n_splits=5)
-        mse = cross_val_mse(KernelRidge(alpha=0.01), x, y, fold_grams=plan)
-        assert mse == cross_val_mse(KernelRidge(alpha=0.01), x, y, n_splits=5)
-        assert plan.misses == 0  # ridge never touched the caches
-
-    def test_rejects_empty_folds(self):
-        from repro.svm.cv import FoldGrams
-
-        x, _ = self.make_data()
-        with pytest.raises(ConfigurationError):
-            FoldGrams(x, [])
-
-    def test_rejects_plan_built_over_different_data(self):
-        from repro.svm.cv import FoldGrams
-        from repro.svm.kernels import RbfKernel
-        from repro.svm.svr import EpsilonSVR
-
-        x, y = self.make_data()
-        plan = FoldGrams.from_splitter(x + 1.0, n_splits=5)
-        model = EpsilonSVR(kernel=RbfKernel(gamma=0.4), c=8.0, epsilon=0.1)
-        with pytest.raises(ConfigurationError):
-            cross_val_mse(model, x, y, fold_grams=plan)

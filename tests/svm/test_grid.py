@@ -68,8 +68,15 @@ class TestGridSearch:
 
     def test_rejects_empty_grid(self, data):
         x, y = data
-        with pytest.raises(ConfigurationError):
-            grid_search_svr(x, y, c_grid=())
+        for name in ("c_grid", "gamma_grid", "epsilon_grid"):
+            with pytest.raises(ConfigurationError, match=name):
+                grid_search_svr(x, y, **{name: ()})
+
+    @pytest.mark.parametrize("name", ["c_grid", "gamma_grid", "epsilon_grid"])
+    def test_rejects_duplicate_grid_value(self, data, name):
+        x, y = data
+        with pytest.raises(ConfigurationError, match=name):
+            grid_search_svr(x, y, **{name: (1.0, 1.0)})
 
     def test_trials_enumerate_in_c_major_order(self, data):
         x, y = data
@@ -112,98 +119,27 @@ class TestGridSearch:
 
 
 class TestGridSearchAcceleration:
-    """The flag-gated fast paths agree with the sequential reference."""
-
-    def _reference(self, data, **kwargs):
-        x, y = data
-        return grid_search_svr(
-            x, y, c_grid=(1.0, 10.0), gamma_grid=(0.1, 1.0), epsilon_grid=(0.1,),
-            n_splits=5, **kwargs,
-        )
-
-    def test_thread_pool_bit_identical(self, data):
-        serial = self._reference(data)
-        pooled = self._reference(data, n_jobs=2, backend="thread")
-        assert [t.astuple() for t in pooled.trials] == [
-            t.astuple() for t in serial.trials
-        ]
-        assert pooled.best_cv_mse == serial.best_cv_mse
-
-    def test_process_pool_bit_identical(self, data):
-        serial = self._reference(data)
-        pooled = self._reference(data, n_jobs=2, backend="process")
-        assert [t.astuple() for t in pooled.trials] == [
-            t.astuple() for t in serial.trials
-        ]
-
-    def test_pool_bit_identical_with_per_point_folds(self, data):
-        x, y = data
-        kwargs = dict(
-            c_grid=(1.0, 10.0), gamma_grid=(0.1, 1.0), epsilon_grid=(0.1,),
-            n_splits=5,
-        )
-        serial = grid_search_svr(x, y, rng=RngStream(3, "cv"), **kwargs)
-        pooled = grid_search_svr(
-            x, y, rng=RngStream(3, "cv"), n_jobs=2, backend="thread", **kwargs
-        )
-        assert [t.astuple() for t in pooled.trials] == [
-            t.astuple() for t in serial.trials
-        ]
-
-    def test_warm_start_selects_same_point(self, data):
-        cold = self._reference(data)
-        warm = self._reference(data, warm_start=True)
-        assert (warm.best_c, warm.best_gamma, warm.best_epsilon) == (
-            cold.best_c, cold.best_gamma, cold.best_epsilon
-        )
-        # Warm starts stop at the same KKT tolerance but from a different
-        # trajectory, so scores agree only to solver tolerance.
-        for warm_trial, cold_trial in zip(warm.trials, cold.trials):
-            assert warm_trial.cv_mse == pytest.approx(
-                cold_trial.cv_mse, rel=5e-2, abs=1e-3
-            )
-
-    def test_warm_start_rejects_per_point_folds(self, data):
-        x, y = data
-        with pytest.raises(ConfigurationError):
-            grid_search_svr(
-                x, y, c_grid=(1.0,), gamma_grid=(0.1,), epsilon_grid=(0.1,),
-                n_splits=5, rng=RngStream(3, "cv"), warm_start=True,
-            )
-
-    def test_warm_start_allowed_with_shared_folds(self, data):
-        x, y = data
-        result = grid_search_svr(
-            x, y, c_grid=(1.0, 10.0), gamma_grid=(0.1,), epsilon_grid=(0.1,),
-            n_splits=5, rng=RngStream(3, "cv"), warm_start=True,
-            shared_folds=True,
-        )
-        assert len(result.trials) == 2
-
-    def test_shared_folds_deterministic_given_stream(self, data):
-        x, y = data
-        kwargs = dict(
-            c_grid=(1.0, 10.0), gamma_grid=(0.1,), epsilon_grid=(0.1,),
-            n_splits=5, shared_folds=True,
-        )
-        a = grid_search_svr(x, y, rng=RngStream(9, "cv"), **kwargs)
-        b = grid_search_svr(x, y, rng=RngStream(9, "cv"), **kwargs)
-        assert [t.astuple() for t in a.trials] == [t.astuple() for t in b.trials]
+    """Memory-capped chunking of the lockstep batch, in both fold modes."""
 
     def test_chunked_megabatch_bit_identical(self, data, monkeypatch):
-        """Memory-capped chunking must not change a single bit."""
+        """Memory-capped chunking must not change a single bit, with shared
+        folds (``rng=None``) or with per-point folds."""
         import repro.svm.grid as grid_mod
 
-        serial = self._reference(data)
-        monkeypatch.setattr(grid_mod, "_MAX_BATCH_ELEMENTS", 2000)
-        chunked = self._reference(data)  # every chunk is a single problem
-        assert [t.astuple() for t in chunked.trials] == [
-            t.astuple() for t in serial.trials
-        ]
-
-    def test_rejects_bad_backend_and_jobs(self, data):
         x, y = data
-        with pytest.raises(ConfigurationError):
-            grid_search_svr(x, y, backend="gpu")
-        with pytest.raises(ConfigurationError):
-            grid_search_svr(x, y, n_jobs=0)
+
+        def search(rng_seed):
+            rng = None if rng_seed is None else RngStream(rng_seed, "cv")
+            return grid_search_svr(
+                x, y, c_grid=(1.0, 10.0), gamma_grid=(0.1, 1.0),
+                epsilon_grid=(0.1,), n_splits=5, rng=rng,
+            )
+
+        for rng_seed in (None, 3):
+            with monkeypatch.context() as patch:
+                serial = search(rng_seed)
+                patch.setattr(grid_mod, "_MAX_BATCH_ELEMENTS", 2000)
+                chunked = search(rng_seed)  # every chunk is a single problem
+            assert [t.astuple() for t in chunked.trials] == [
+                t.astuple() for t in serial.trials
+            ]

@@ -133,6 +133,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             solve_svr_dual(np.eye(3), np.zeros(3), c=1.0, epsilon=-0.1)
 
+    def test_rejects_zero_iteration_budget(self):
+        with pytest.raises(ConfigurationError):
+            solve_svr_dual(np.eye(3), np.zeros(3), c=1.0, epsilon=0.1, max_iter=0)
+
     def test_rejects_unknown_convergence_policy(self):
         with pytest.raises(ConfigurationError):
             solve_svr_dual(
@@ -179,55 +183,3 @@ class TestConvergedFlagConsistency:
         result = solve_svr_dual(k, y, c=100.0, epsilon=0.1)
         assert result.converged
 
-
-class TestWarmStart:
-    def make_problem(self, n=40, seed=7):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-1, 1, size=(n, 4))
-        y = 50.0 + 6.0 * x[:, 0] + 2.0 * np.sin(3.0 * x[:, 1]) + 0.1 * rng.normal(size=n)
-        return RbfKernel(gamma=0.3).gram(x, x), y
-
-    def test_restart_at_own_solution_converges_immediately(self):
-        k, y = self.make_problem()
-        cold = solve_svr_dual(k, y, c=10.0, epsilon=0.1)
-        warm = solve_svr_dual(k, y, c=10.0, epsilon=0.1, beta0=cold.beta)
-        assert warm.converged
-        assert warm.iterations <= cold.iterations // 4
-
-    def test_warm_start_along_c_path_cuts_iterations(self):
-        k, y = self.make_problem()
-        small = solve_svr_dual(k, y, c=8.0, epsilon=0.125)
-        cold = solve_svr_dual(k, y, c=64.0, epsilon=0.125)
-        warm = solve_svr_dual(k, y, c=64.0, epsilon=0.125, beta0=small.beta)
-        assert warm.converged
-        assert warm.iterations < cold.iterations
-
-    def test_warm_start_clips_into_smaller_box(self):
-        k, y = self.make_problem()
-        big = solve_svr_dual(k, y, c=64.0, epsilon=0.125)
-        c = 1.0
-        warm = solve_svr_dual(k, y, c=c, epsilon=0.125, beta0=big.beta)
-        assert warm.converged
-        assert np.all(warm.beta <= c + 1e-12)
-        assert np.all(warm.beta >= -c - 1e-12)
-
-    def test_warm_and_cold_agree_to_tolerance(self):
-        k, y = self.make_problem()
-        small = solve_svr_dual(k, y, c=4.0, epsilon=0.1)
-        cold = solve_svr_dual(k, y, c=32.0, epsilon=0.1)
-        warm = solve_svr_dual(k, y, c=32.0, epsilon=0.1, beta0=small.beta)
-        pred_cold = k @ cold.beta + cold.bias
-        pred_warm = k @ warm.beta + warm.bias
-        assert np.max(np.abs(pred_cold - pred_warm)) < 0.05
-
-    def test_none_beta0_is_bit_identical_to_default(self):
-        k, y = self.make_problem()
-        a = solve_svr_dual(k, y, c=10.0, epsilon=0.1)
-        b = solve_svr_dual(k, y, c=10.0, epsilon=0.1, beta0=None)
-        assert np.array_equal(a.beta, b.beta)
-        assert a.bias == b.bias and a.iterations == b.iterations
-
-    def test_rejects_wrong_beta0_shape(self):
-        k, y = self.make_problem()
-        with pytest.raises(ConfigurationError):
-            solve_svr_dual(k, y, c=10.0, epsilon=0.1, beta0=np.zeros(3))

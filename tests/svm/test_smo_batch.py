@@ -112,21 +112,6 @@ class TestBitwiseParity:
             ]
         assert_results_bitwise_equal(batch, scalars)
 
-    def test_matches_with_warm_starts(self):
-        problems = make_problems((22, 28), seed=9)
-        kernels = [k for k, _ in problems]
-        targets = [y for _, y in problems]
-        first = solve_svr_dual_batch(kernels, targets, c=2.0, epsilon=0.1)
-        betas = [result.beta for result in first]
-        batch = solve_svr_dual_batch(
-            kernels, targets, c=16.0, epsilon=0.1, beta0s=betas
-        )
-        scalars = [
-            solve_svr_dual(k, y, c=16.0, epsilon=0.1, beta0=beta)
-            for (k, y), beta in zip(problems, betas)
-        ]
-        assert_results_bitwise_equal(batch, scalars)
-
     def test_straggler_fold_compaction_keeps_parity(self):
         """One hard problem among many easy ones: the batch must run wide
         (well above the scalar hand-off width), compact repeatedly as the
@@ -180,10 +165,10 @@ class TestBatchInterface:
                 [np.eye(3)], [np.zeros(4)], c=1.0, epsilon=0.1
             )
 
-    def test_rejects_bad_warm_start_length(self):
+    def test_rejects_zero_iteration_budget(self):
         with pytest.raises(ConfigurationError):
             solve_svr_dual_batch(
-                [np.eye(3)], [np.zeros(3)], c=1.0, epsilon=0.1, beta0s=[]
+                [np.eye(3)], [np.zeros(3)], c=1.0, epsilon=0.1, max_iter=0
             )
 
     def test_raise_mode_on_no_convergence(self):
