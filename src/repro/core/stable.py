@@ -80,9 +80,17 @@ class StableTemperaturePredictor:
 
     def predict_many(self, records: list[ExperimentRecord]) -> np.ndarray:
         """ψ_stable forecasts for many records."""
+        return self.predict_features(self.extractor.matrix(records))
+
+    def predict_features(self, x: np.ndarray) -> np.ndarray:
+        """ψ_stable forecasts for rows laid out like ``extractor.matrix``.
+
+        The one kernel path: :meth:`predict_many` is this over
+        ``extractor.matrix(records)``, and the what-if scorer feeds it
+        rows built straight from fleet arrays.
+        """
         if self._scaler is None or self._model is None:
             raise NotFittedError("StableTemperaturePredictor used before fit")
-        x = self.extractor.matrix(records)
         return np.atleast_1d(self._model.predict(self._scaler.transform(x)))
 
     # -- evaluation ------------------------------------------------------------

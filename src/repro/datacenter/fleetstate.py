@@ -25,12 +25,21 @@ let consumers skip work when nothing they depend on changed:
     bumped when a server's hosted-VM set or a hosted VM's lifecycle
     state changes — the signal for dense-index refresh
     (:class:`~repro.datacenter.fleet_load.FleetLoadView`), prediction
-    probe VM-set signatures, and what-if record caches;
+    probe VM-set signatures;
 ``membership_generation``
     bumped when a server registers — the signal for a full view rebuild
     (array buffers may have been reallocated by growth);
 ``task_generation``
     bumped when a VM's task parameters are appended.
+
+Eq. (2) contribution columns: each VM's spec is immutable, so its
+share of the stable model's input is computed once, at registration
+(:func:`vm_contributions`) — ``vm_nominal_util``, ``vm_demand_vcpus``
+(``vcpus × utilization``), the ``vm_task_kinds`` histogram over
+``TASK_KINDS`` and the ``vm_unknown_kind`` marker — next to the server
+``total_ghz`` column. :func:`repro.core.features.feature_rows` gathers
+them over ``server_vm_slots`` to build what-if feature rows without
+building records.
 
 Binding protocol: a :class:`~repro.datacenter.cluster.Cluster` owns one
 ``FleetState`` and registers each server on ``add_server`` (along with
@@ -58,7 +67,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datacenter.vm import RUNNING_CODES, STATE_CODES, Vm
+from repro.datacenter.vm import RUNNING_CODES, STATE_CODES, Vm, VmSpec
+from repro.datacenter.workload import TASK_KINDS
 from repro.thermal.fan import FanBank
 from repro.thermal.power import CpuPowerModel
 from repro.thermal.server_thermal import ServerThermalModel
@@ -83,6 +93,7 @@ _SERVER_FLOAT_FIELDS = (
     "memory_capacity_gb",
     "vcpu_limit",
     "cores",
+    "total_ghz",
     "used_memory_gb",
     "overhead_per_vm",
     "migration_overhead",
@@ -95,7 +106,31 @@ _SERVER_INT_FIELDS = (
     "server_generation",
 )
 #: VM-slot-indexed float64 arrays.
-_VM_FLOAT_FIELDS = ("vm_vcpus_f", "vm_memory_gb", "vm_started_at_s")
+_VM_FLOAT_FIELDS = (
+    "vm_vcpus_f",
+    "vm_memory_gb",
+    "vm_started_at_s",
+    "vm_nominal_util",
+    "vm_demand_vcpus",
+)
+
+
+def vm_contributions(spec: VmSpec) -> tuple[float, float, list[int], bool]:
+    """One VM's Eq. (2) contributions, pure functions of its spec.
+
+    Returns the nominal utilization, the ``vcpus × utilization`` demand,
+    the task-kind histogram over :data:`TASK_KINDS`, and whether any
+    task has a kind outside :data:`TASK_KINDS`.
+    """
+    utilization = spec.nominal_utilization()
+    kinds = [0] * len(TASK_KINDS)
+    unknown = False
+    for task in spec.tasks:
+        if task.kind in TASK_KINDS:
+            kinds[TASK_KINDS.index(task.kind)] += 1
+        else:
+            unknown = True
+    return utilization, spec.vcpus * utilization, kinds, unknown
 
 
 def _grown(array: np.ndarray, needed: int) -> np.ndarray:
@@ -106,7 +141,7 @@ def _grown(array: np.ndarray, needed: int) -> np.ndarray:
     new_capacity = max(4, capacity)
     while new_capacity < needed:
         new_capacity *= 2
-    out = np.zeros(new_capacity, dtype=array.dtype)
+    out = np.zeros((new_capacity,) + array.shape[1:], dtype=array.dtype)
     out[:capacity] = array
     return out
 
@@ -143,6 +178,8 @@ class FleetState:
         self.vm_vcpus = np.zeros(0, dtype=np.int64)
         self.vm_state_code = np.zeros(0, dtype=np.int8)
         self.vm_server = np.zeros(0, dtype=np.int64)
+        self.vm_task_kinds = np.zeros((0, len(TASK_KINDS)), dtype=float)
+        self.vm_unknown_kind = np.zeros(0, dtype=bool)
 
         self.n_servers = 0
         self.n_vms = 0
@@ -199,6 +236,7 @@ class FleetState:
         self.memory_capacity_gb[i] = capacity.memory_gb
         self.vcpu_limit[i] = spec.vcpu_limit
         self.cores[i] = float(capacity.cpu_cores)
+        self.total_ghz[i] = capacity.total_ghz
         vmm = server.vmm
         self.overhead_per_vm[i] = vmm.overhead_cores_per_vm
         self.migration_overhead[i] = vmm.migration_overhead_cores
@@ -265,12 +303,20 @@ class FleetState:
         self.vm_vcpus = _grown(self.vm_vcpus, needed)
         self.vm_state_code = _grown(self.vm_state_code, needed)
         self.vm_server = _grown(self.vm_server, needed)
+        self.vm_task_kinds = _grown(self.vm_task_kinds, needed)
+        self.vm_unknown_kind = _grown(self.vm_unknown_kind, needed)
         self.n_vms = needed
 
         spec = vm.spec
         self.vm_vcpus[slot] = spec.vcpus
         self.vm_vcpus_f[slot] = float(spec.vcpus)
         self.vm_memory_gb[slot] = spec.memory_gb
+        (
+            self.vm_nominal_util[slot],
+            self.vm_demand_vcpus[slot],
+            self.vm_task_kinds[slot],
+            self.vm_unknown_kind[slot],
+        ) = vm_contributions(spec)
         self.vm_started_at_s[slot] = started_at_s
         self.vm_state_code[slot] = STATE_CODES[state]
         self.vm_server[slot] = -1

@@ -1,8 +1,8 @@
 """Prediction-driven thermal-aware VM placement.
 
 For each candidate host the scheduler builds the hypothetical Eq. (2)
-record "this host with the new VM added" (via the shared what-if
-builder in :mod:`repro.management.whatif`), asks the stable model for
+input "this host with the new VM added" (via the shared what-if
+scorer in :mod:`repro.management.whatif`), asks the stable model for
 the resulting ψ_stable in one batched call, and places the VM on the
 host with the lowest predicted temperature (skipping hosts predicted to
 overheat). This is exactly the proactive decision-making the paper's
@@ -82,7 +82,7 @@ class ThermalAwareScheduler(PlacementScheduler):
     def place(self, vm: Vm, cluster: Cluster) -> Server:
         """Predict ψ_stable for all feasible hosts in one batch; pick the coolest.
 
-        All hypothetical "host + new VM" records go through a single
+        All hypothetical "host + new VM" feature rows go through a single
         batched SVR call (one kernel evaluation for the whole candidate
         set) instead of one point call per host — same predictions, one
         pass over the support vectors.

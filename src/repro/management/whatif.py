@@ -2,52 +2,55 @@
 
 Every prediction-driven management decision asks the stable model the
 same two questions: *"how hot would this host be without VM x?"* and
-*"how hot would this host be with VM x added?"*. Historically the
-:class:`~repro.management.advisor.MigrationAdvisor` and the
-:class:`~repro.management.thermal_aware.ThermalAwareScheduler` each
-built those hypothetical Eq. (2) records in their own Python loops and
-issued one point ψ_stable call per candidate — fine for one decision,
-hopeless for a control plane that re-plans a 128-server cluster every
-interval.
+*"how hot would this host be with VM x added?"*. The
+:class:`~repro.management.advisor.MigrationAdvisor`, the
+:class:`~repro.management.thermal_aware.ThermalAwareScheduler` and the
+closed-loop control plane in :mod:`repro.control` all ask them here:
 
-This module is the single implementation both policies (and the
-closed-loop control plane in :mod:`repro.control`) now share:
-
-* :func:`record_for_host` — the one hypothetical-record builder
+* :func:`record_for_host` — the reference hypothetical-record builder
   (current VM set, optionally minus ``without_vm`` and/or plus
-  ``extra_vm``);
+  ``extra_vm``), the Eq. (2) input the paper's model reads;
 * :class:`CandidateMove` / :class:`MoveScore` — one (VM, source,
   destination) candidate and its scored outcome;
 * :func:`enumerate_evictions` — all feasible moves off a set of
   source servers;
 * :class:`WhatIfScorer` — scores *all* candidate moves in one batched
-  SVR call. Unique hypothetical records are deduplicated (the
-  "source without VM x" record is shared by every destination
-  considered for x) and pushed through ``predict_many`` — or, when a
-  :class:`~repro.serving.registry.ModelRegistry` serves per-class
-  models, through :func:`~repro.serving.batch.predict_batch` — as one
-  matrix.
+  SVR call. The candidates never become records: the scorer dedups
+  them into (server slot, removed VM slot, added VM slot) triples —
+  "source without VM x" is shared by every destination considered for
+  x, "destination with VM x" by every VM of x's Eq. (2) flavor — and
+  :func:`repro.core.features.feature_rows` builds their feature rows
+  straight from the cluster's
+  :class:`~repro.datacenter.fleetstate.FleetState` columns. The matrix
+  goes through ``predict_features`` — of the one shared predictor, or
+  of each host's :class:`~repro.serving.registry.ModelEntry`, resolved
+  once per host.
 
-Because ``EpsilonSVR.predict`` is bitwise batch-composition independent
-(see ``docs/architecture.md``), the batched scores are **bit-identical**
-to looping ``predict``/``predict_many`` per candidate — the parity
+Each array row is bitwise equal to ``FeatureExtractor.extract`` of the
+matching :func:`record_for_host` record, and ``EpsilonSVR.predict`` is
+bitwise batch-composition independent (see ``docs/architecture.md``),
+so the batched scores are **bit-identical** to looping
+``predict``/``predict_many`` over records per candidate — the parity
 contract tested in ``tests/management/test_whatif.py`` and benchmarked
 (≥5× at 128 servers) in ``benchmarks/test_control_plane.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.core.features import feature_rows
 from repro.core.records import ExperimentRecord, VmRecord
 from repro.datacenter.cluster import Cluster
+from repro.datacenter.fleetstate import FleetState
 from repro.datacenter.server import Server
 from repro.datacenter.vm import Vm
 from repro.errors import ConfigurationError, SchedulingError
-from repro.serving.signatures import vm_record_from_spec, vm_signature
+from repro.serving.signatures import vm_record_from_spec
 
 
 def record_for_host(
@@ -72,20 +75,6 @@ def record_for_host(
         for name, vm in server.vms.items()
         if name != without_vm
     ) + ((_vm_record(extra_vm),) if extra_vm is not None else ())
-    return _assemble_record(server, environment_c, vm_records, extra_vm, without_vm)
-
-
-def _vm_record(vm: Vm) -> VmRecord:
-    return vm_record_from_spec(vm.spec)
-
-
-def _assemble_record(
-    server: Server,
-    environment_c: float,
-    vm_records: tuple[VmRecord, ...],
-    extra_vm: Vm | None,
-    without_vm: str | None,
-) -> ExperimentRecord:
     capacity = server.spec.capacity
     metadata: dict = {"server": server.name}
     if extra_vm is not None:
@@ -102,6 +91,17 @@ def _assemble_record(
         vms=vm_records,
         metadata=metadata,
     )
+
+
+def _vm_record(vm: Vm) -> VmRecord:
+    return vm_record_from_spec(vm.spec)
+
+
+def _require_finite(environment_c: float) -> None:
+    if not math.isfinite(environment_c):
+        raise ConfigurationError(
+            f"environment_c must be finite, got {environment_c!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -179,15 +179,15 @@ class WhatIfScorer:
     Exactly one model source must be supplied:
 
     ``predictor``
-        Anything with ``predict_many(records) -> array`` (a trained
+        Anything with ``predict_features(x) -> array`` over
+        :class:`~repro.core.features.FeatureExtractor` rows (a trained
         :class:`~repro.core.stable.StableTemperaturePredictor`) — one
         shared model for the whole cluster.
     ``registry`` (+ optional ``key_fn``)
         A :class:`~repro.serving.registry.ModelRegistry`; each
-        hypothetical record is scored by the model serving the host it
+        hypothetical row is scored by the model serving the host it
         describes (``key_fn(server)``, default the registry's
-        ``"default"`` entry) via one cross-model
-        :func:`~repro.serving.batch.predict_batch` call.
+        ``"default"`` entry), resolved once per host per call.
     """
 
     def __init__(
@@ -208,69 +208,32 @@ class WhatIfScorer:
         self.predictor = predictor
         self.registry = registry
         self.key_fn = key_fn
-        # Per-server VmRecord cache keyed by the server's placement
-        # generation: building the hypothetical records used to re-derive
-        # every hosted VM's task-kind tuple and nominal utilization per
-        # candidate move, per interval. VmRecord fields are pure
-        # spec-derived values, so the cache is exact while the VM dict is
-        # unchanged — and the generation bumps on every membership (or
-        # lifecycle) change. The server object is kept as a strong
-        # reference so an id() cannot be reused by a different server.
-        self._base_records: dict[
-            int, tuple[int, Server, tuple[tuple[str, VmRecord], ...]]
-        ] = {}
 
-    def _host_vm_records(
-        self, server: Server
-    ) -> tuple[tuple[str, VmRecord], ...]:
-        generation = server.placement_generation
-        cached = self._base_records.get(id(server))
-        if cached is not None and cached[0] == generation and cached[1] is server:
-            return cached[2]
-        pairs = tuple(
-            (name, _vm_record(vm)) for name, vm in server.vms.items()
-        )
-        self._base_records[id(server)] = (generation, server, pairs)
-        return pairs
-
-    def _record_from_base(
-        self,
-        server: Server,
-        environment_c: float,
-        extra_vm: Vm | None = None,
-        without_vm: str | None = None,
-    ) -> ExperimentRecord:
-        """:func:`record_for_host` over the cached per-VM records —
-        byte-for-byte the same output (same order, same metadata)."""
-        if without_vm is not None and without_vm not in server.vms:
-            raise SchedulingError(
-                f"cannot remove VM {without_vm!r}: not hosted on {server.name!r}"
-            )
-        vm_records = tuple(
-            record
-            for name, record in self._host_vm_records(server)
-            if name != without_vm
-        ) + ((_vm_record(extra_vm),) if extra_vm is not None else ())
-        return _assemble_record(
-            server, environment_c, vm_records, extra_vm, without_vm
-        )
-
-    def _predict_records(
-        self, records: list[ExperimentRecord], servers: list[Server]
+    def _predict(
+        self, x: np.ndarray, server_slots: np.ndarray, state: FleetState
     ) -> np.ndarray:
         if self.predictor is not None:
             return np.atleast_1d(
-                np.asarray(self.predictor.predict_many(records), dtype=float)
+                np.asarray(self.predictor.predict_features(x), dtype=float)
             )
-        from repro.serving.batch import PredictionRequest, predict_batch
         from repro.serving.registry import DEFAULT_KEY
 
         key_fn = self.key_fn or (lambda server: DEFAULT_KEY)
-        requests = [
-            PredictionRequest(key_fn(server), record)
-            for server, record in zip(servers, records)
-        ]
-        return predict_batch(self.registry, requests)
+        # Resolve every host before any model runs, so an unknown key
+        # raises without partial work.
+        hosts, host_of_row = np.unique(server_slots, return_inverse=True)
+        entries = {}
+        entry_of_host = []
+        for slot in hosts.tolist():
+            entry = self.registry.resolve(key_fn(state.server_objects[slot]))
+            entries[id(entry)] = entry
+            entry_of_host.append(id(entry))
+        entry_of_row = np.array(entry_of_host)[host_of_row]
+        out = np.empty(x.shape[0], dtype=float)
+        for entry_id, entry in entries.items():
+            rows = np.flatnonzero(entry_of_row == entry_id)
+            out[rows] = entry.predict_features(x[rows])
+        return out
 
     def score_moves(
         self,
@@ -280,63 +243,78 @@ class WhatIfScorer:
     ) -> list[MoveScore]:
         """Score every candidate move in one batched ψ_stable call.
 
-        Builds each *unique* hypothetical record once and evaluates the
-        whole batch through a single kernel pass. "Source minus VM" is
-        shared across that VM's destinations, and "destination plus VM"
-        is keyed by the moved VM's Eq. (2) *signature*
-        (:func:`repro.serving.signatures.vm_signature` — the same dedup
-        lever the serving front-end's result cache uses) rather than its
-        name — fleets
-        run many identical VM flavors, and identical records are
-        identical predictions, so the dedup cannot change a single bit.
-        Scores come back indexed like ``moves``.
+        Builds each *unique* hypothetical feature row once and evaluates
+        the whole batch through a single kernel pass. "Source minus VM"
+        is shared across that VM's destinations, and "destination plus
+        VM" is keyed by the moved VM's Eq. (2) contributions (vCPUs,
+        memory, nominal utilization, task-kind histogram) rather than its
+        name — fleets run many identical VM flavors, and identical rows
+        are identical predictions, so the dedup cannot change a single
+        bit. Scores come back indexed like ``moves``. A non-finite
+        ``environment_c`` raises :class:`~repro.errors.ConfigurationError`.
         """
+        _require_finite(environment_c)
         if not moves:
             return []
-        records: list[ExperimentRecord] = []
-        servers: list[Server] = []
-        slot: dict[tuple, int] = {}
-
-        def intern(key: tuple, server: Server, record_of) -> int:
-            index = slot.get(key)
-            if index is None:
-                slot[key] = index = len(records)
-                records.append(record_of())
-                servers.append(server)
-            return index
-
-        source_idx = np.empty(len(moves), dtype=np.intp)
-        dest_idx = np.empty(len(moves), dtype=np.intp)
-        for i, move in enumerate(moves):
-            source = cluster.server(move.source)
-            destination = cluster.server(move.destination)
-            vm = source.vms.get(move.vm_name)
+        state = cluster.fleet_state
+        sources: list[int] = []
+        destinations: list[int] = []
+        moved_vms: list[int] = []
+        for move in moves:
+            source_server = cluster.server(move.source)
+            vm = source_server.vms.get(move.vm_name)
             if vm is None:
                 raise SchedulingError(
                     f"VM {move.vm_name!r} not on source {move.source!r}"
                 )
-            source_idx[i] = intern(
-                ("without", move.source, move.vm_name),
-                source,
-                lambda: self._record_from_base(
-                    source, environment_c, without_vm=move.vm_name
-                ),
-            )
-            dest_idx[i] = intern(
-                ("with", move.destination, vm_signature(vm.spec)),
-                destination,
-                lambda: self._record_from_base(
-                    destination, environment_c, extra_vm=vm
-                ),
-            )
-        predicted = self._predict_records(records, servers)
-        source_c = predicted[source_idx]
-        dest_c = predicted[dest_idx]
+            sources.append(source_server._slot)
+            destinations.append(cluster.server(move.destination)._slot)
+            moved_vms.append(vm._slot)
+        source = np.array(sources, dtype=np.intp)
+        destination = np.array(destinations, dtype=np.intp)
+        moved = np.array(moved_vms, dtype=np.intp)
+
+        # Moved VMs with equal Eq. (2) contributions share a flavor id.
+        distinct, vm_of_move = np.unique(moved, return_inverse=True)
+        _, flavor_of_vm = np.unique(
+            np.column_stack([
+                state.vm_vcpus_f[distinct],
+                state.vm_memory_gb[distinct],
+                state.vm_nominal_util[distinct],
+                state.vm_unknown_kind[distinct],
+                state.vm_task_kinds[distinct],
+            ]),
+            axis=0,
+            return_inverse=True,
+        )
+        _, without_first, without_of_move = np.unique(
+            source * state.n_vms + moved, return_index=True, return_inverse=True
+        )
+        _, with_first, with_of_move = np.unique(
+            destination * distinct.shape[0] + flavor_of_vm[vm_of_move],
+            return_index=True,
+            return_inverse=True,
+        )
+        n_without = without_first.shape[0]
+        n_with = with_first.shape[0]
+        server_slots = np.concatenate(
+            [source[without_first], destination[with_first]]
+        )
+        removed = np.concatenate(
+            [moved[without_first], np.full(n_with, -1, dtype=np.intp)]
+        )
+        added = np.concatenate(
+            [np.full(n_without, -1, dtype=np.intp), moved[with_first]]
+        )
+        x = feature_rows(state, server_slots, removed, added, environment_c)
+        predicted = self._predict(x, server_slots, state)
+        source_c = predicted[without_of_move].tolist()
+        destination_c = predicted[n_without + with_of_move].tolist()
         return [
             MoveScore(
                 move=move,
-                predicted_source_c=float(source_c[i]),
-                predicted_destination_c=float(dest_c[i]),
+                predicted_source_c=source_c[i],
+                predicted_destination_c=destination_c[i],
             )
             for i, move in enumerate(moves)
         ]
@@ -350,12 +328,25 @@ class WhatIfScorer:
         """Predicted ψ_stable of each host with ``vm`` hypothetically added.
 
         One batched call over all candidate hosts — the scheduler's
-        placement question, shared with consolidation policies.
+        placement question, shared with consolidation policies. The
+        hosts must belong to one cluster; ``vm`` need not. A non-finite
+        ``environment_c`` raises :class:`~repro.errors.ConfigurationError`.
         """
+        _require_finite(environment_c)
         if not servers:
             return np.empty(0, dtype=float)
-        records = [
-            self._record_from_base(server, environment_c, extra_vm=vm)
-            for server in servers
-        ]
-        return self._predict_records(records, servers)
+        state = servers[0]._fs
+        if state is None or any(server._fs is not state for server in servers):
+            raise ConfigurationError(
+                "score_placements needs hosts registered in one cluster"
+            )
+        slots = np.array([server._slot for server in servers], dtype=np.intp)
+        x = feature_rows(
+            state,
+            slots,
+            np.full(slots.shape[0], -1, dtype=np.intp),
+            np.full(slots.shape[0], state.n_vms, dtype=np.intp),
+            environment_c,
+            guests=(vm.spec,),
+        )
+        return self._predict(x, slots, state)

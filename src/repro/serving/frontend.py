@@ -29,8 +29,8 @@ Design points, each load-bearing:
 
 * **Signature-keyed result cache with generation invalidation.** Results
   are cached under ``((canonical_key, entry.version),
-  record_signature(record))`` — the same Eq. (2) value-dedup lever the
-  what-if scorer uses (:mod:`repro.serving.signatures`). The version
+  record_signature(record))`` — Eq. (2) value dedup
+  (:mod:`repro.serving.signatures`). The version
   half is the invalidation: :meth:`~repro.serving.registry.ModelRegistry.swap`
   bumps the version and :meth:`~repro.serving.registry.ModelRegistry.promote`
   moves the canonical key, so a registry publish can never be served a

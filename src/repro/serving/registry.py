@@ -75,7 +75,14 @@ class ModelEntry:
         """
         if not records:
             return np.empty(0, dtype=float)
-        x = self.extractor.matrix(records)
+        return self.predict_features(self.extractor.matrix(records))
+
+    def predict_features(self, x: np.ndarray) -> np.ndarray:
+        """ψ_stable forecasts for rows laid out like ``extractor.matrix``.
+
+        :meth:`predict_records` is this over ``extractor.matrix(records)``;
+        the what-if scorer passes rows built from fleet arrays instead.
+        """
         return np.atleast_1d(self.model.predict(self.scaler.transform(x)))
 
 

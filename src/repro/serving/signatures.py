@@ -1,14 +1,16 @@
-"""Shared Eq. (2) dedup signatures for what-if scoring and serving caches.
+"""Shared Eq. (2) dedup signatures for serving caches and request traces.
 
 Fleets run many *identical* VM flavors and re-ask the stable model the
 same questions — "destination plus one m4.large-shaped VM", "this
 host's current placement" — over and over. Identical Eq. (2) inputs are
-identical predictions, so both the batched what-if scorer
-(:class:`repro.management.whatif.WhatIfScorer`) and the serving
-front-end's result cache (:mod:`repro.serving.frontend`) dedup work by
-*value signature* rather than by object identity or VM name. This
-module is the single implementation of those signatures, so the two
-paths can never disagree about what "the same request" means.
+identical predictions, so the serving front-end's result cache
+(:mod:`repro.serving.frontend`) and the scenario-derived request
+traces (:mod:`repro.serving.traces`) dedup work by *value signature*
+rather than by object identity or VM name. This module is the single
+implementation of those signatures, so the two can never disagree
+about what "the same request" means. (The what-if scorer builds no
+records; it dedups its array rows by the same per-VM values, read from
+``FleetState`` columns.)
 
 Two invariants make the signatures safe as dedup/cache keys:
 

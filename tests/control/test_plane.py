@@ -5,6 +5,7 @@ import pytest
 
 from repro.control.plane import ControlPlane, ControlPlaneConfig
 from repro.control.policies import ReactiveEvictionPolicy
+from repro.core.features import FeatureExtractor
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.migration import MigrationStartEvent
 from repro.datacenter.server import Server
@@ -18,17 +19,24 @@ from repro.thermal.environment import ConstantEnvironment
 from tests.conftest import make_server_spec, make_vm
 
 
+DEMAND = FeatureExtractor().feature_names.index("nominal_demand_vcpus")
+
+
 class EchoPredictor:
-    def predict_many(self, records):
-        return np.array([
-            40.0 + 3.0 * sum(vm.vcpus * vm.nominal_utilization for vm in r.vms)
-            for r in records
-        ])
+    """ψ = 40 + 3·(nominal demand column)."""
+
+    def predict_features(self, x):
+        return 40.0 + 3.0 * x[:, DEMAND]
 
 
 class EchoEntry:
+    """Registry entry stand-in: records go through the same feature rows."""
+
+    def predict_features(self, x):
+        return EchoPredictor().predict_features(x)
+
     def predict_records(self, records):
-        return EchoPredictor().predict_many(records)
+        return self.predict_features(FeatureExtractor().matrix(records))
 
 
 class EchoRegistry:

@@ -9,6 +9,7 @@ from repro.control.policies import (
     ProactiveForecastPolicy,
     ReactiveEvictionPolicy,
 )
+from repro.core.features import FeatureExtractor
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.server import Server
 from repro.errors import ConfigurationError
@@ -18,14 +19,14 @@ from repro.serving.fleet import ForecastSnapshot
 from tests.conftest import make_server_spec, make_vm
 
 
-class EchoPredictor:
-    """ψ = 40 + 3·Σ(vcpus·util): transparent, monotone in hosted load."""
+DEMAND = FeatureExtractor().feature_names.index("nominal_demand_vcpus")
 
-    def predict_many(self, records):
-        return np.array([
-            40.0 + 3.0 * sum(vm.vcpus * vm.nominal_utilization for vm in r.vms)
-            for r in records
-        ])
+
+class EchoPredictor:
+    """ψ = 40 + 3·(nominal demand column): transparent, monotone in hosted load."""
+
+    def predict_features(self, x):
+        return 40.0 + 3.0 * x[:, DEMAND]
 
 
 def snapshot_for(cluster, predicted: dict[str, float]) -> ForecastSnapshot:

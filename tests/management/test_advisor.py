@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.features import FeatureExtractor
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.server import Server
 from repro.errors import SchedulingError
@@ -9,17 +10,16 @@ from repro.management.advisor import MigrationAdvisor
 from tests.conftest import make_server_spec, make_vm
 
 
+DEMAND = FeatureExtractor().feature_names.index("nominal_demand_vcpus")
+
+
 class CountingPredictor:
-    """ψ = 45 + 8·n_vms·mean_util·vcpus-ish — a transparent stand-in."""
+    """ψ = 45 + 2.5·(nominal demand column) — a transparent stand-in."""
 
-    def predict(self, record):
-        load = sum(vm.vcpus * vm.nominal_utilization for vm in record.vms)
-        return 45.0 + 2.5 * load
-
-    def predict_many(self, records):
+    def predict_features(self, x):
         # The advisor scores all candidates through the batched what-if
-        # path; the stand-in mirrors the real predictor's batch API.
-        return [self.predict(record) for record in records]
+        # path; the stand-in mirrors the real predictor's feature API.
+        return 45.0 + 2.5 * x[:, DEMAND]
 
 
 def cluster_with_hot_server():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.features import FeatureExtractor
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.server import Server
 from repro.errors import SchedulingError
@@ -10,11 +11,15 @@ from repro.management.thermal_aware import ThermalAwareScheduler, record_for_hos
 from tests.conftest import make_server_spec, make_vm
 
 
+N_VMS = FeatureExtractor().feature_names.index("n_vms")
+
+
 class FakePredictor:
     """Deterministic stand-in scoring hosts by their VM count.
 
-    Implements both ``predict`` and the batched ``predict_many`` the
-    scheduler now uses (one call per placement instead of one per host).
+    Implements the batched ``predict_features`` the scheduler uses (one
+    call per placement instead of one per host); ``queries`` keeps each
+    scored feature row.
     """
 
     def __init__(self, base=50.0, per_vm=5.0):
@@ -23,13 +28,10 @@ class FakePredictor:
         self.queries = []
         self.batch_calls = 0
 
-    def predict(self, record):
-        self.queries.append(record)
-        return self.base + self.per_vm * record.n_vms
-
-    def predict_many(self, records):
+    def predict_features(self, x):
         self.batch_calls += 1
-        return [self.predict(record) for record in records]
+        self.queries.extend(x)
+        return self.base + self.per_vm * x[:, N_VMS]
 
 
 def small_cluster(n=3) -> Cluster:
@@ -92,7 +94,7 @@ class TestPlacement:
         predictor = FakePredictor()
         ThermalAwareScheduler(predictor).place(make_vm("new"), cluster)
         # The hypothetical record includes the incoming VM.
-        assert predictor.queries[0].n_vms == 1
+        assert predictor.queries[0][N_VMS] == 1
 
     def test_skips_hosts_predicted_to_overheat(self):
         cluster = small_cluster(2)

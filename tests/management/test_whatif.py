@@ -1,8 +1,11 @@
 """Unit tests for the shared batched what-if path."""
 
-import numpy as np
+import re
+
 import pytest
 
+from repro.core.features import FeatureExtractor
+from repro.core.stable import StableTemperaturePredictor
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.server import Server
 from repro.errors import ConfigurationError, SchedulingError
@@ -16,19 +19,22 @@ from repro.serving import ModelRegistry
 from tests.conftest import make_server_spec, make_vm
 
 
+DEMAND = FeatureExtractor().feature_names.index("nominal_demand_vcpus")
+
+
 class EchoPredictor:
-    """Deterministic ψ = 40 + 3·Σ(vcpus·util) stand-in with batch API."""
+    """Deterministic ψ = 40 + 3·(nominal demand column) stand-in."""
 
     def __init__(self):
         self.batch_calls = 0
 
     def predict(self, record):
-        load = sum(vm.vcpus * vm.nominal_utilization for vm in record.vms)
-        return 40.0 + 3.0 * load
+        """Reference answer: the same formula over the record's features."""
+        return 40.0 + 3.0 * FeatureExtractor().extract(record)[DEMAND]
 
-    def predict_many(self, records):
+    def predict_features(self, x):
         self.batch_calls += 1
-        return np.array([self.predict(r) for r in records])
+        return 40.0 + 3.0 * x[:, DEMAND]
 
 
 def cluster_of(n=3) -> Cluster:
@@ -168,6 +174,43 @@ class TestWhatIfScorer:
             assert a.predicted_source_c == b.predicted_source_c
             assert a.predicted_destination_c == b.predicted_destination_c
 
+    def test_registry_mode_scores_each_host_with_its_model(
+        self, experiment_records, trained_predictor
+    ):
+        registry = ModelRegistry()
+        registry.register("default", trained_predictor)
+        registry.register(
+            "odd",
+            StableTemperaturePredictor(c=8.0, gamma=0.5, epsilon=0.25).fit(
+                experiment_records
+            ),
+        )
+        cluster = cluster_of(4)
+        for i, name in enumerate(["s0", "s1", "s0", "s1"]):
+            cluster.server(name).host_vm(
+                make_vm(f"vm-{i}", vcpus=1 + i, level=0.3 + 0.15 * i)
+            )
+
+        def key_fn(server):
+            return "odd" if server.name in ("s1", "s3") else "default"
+
+        moves = enumerate_evictions(cluster, ["s0", "s1"])
+        scores = WhatIfScorer(registry=registry, key_fn=key_fn).score_moves(
+            cluster, moves, 22.0
+        )
+        for score in scores:
+            move = score.move
+            source = cluster.server(move.source)
+            destination = cluster.server(move.destination)
+            source_c = registry.resolve(key_fn(source)).predict_records(
+                [record_for_host(source, 22.0, without_vm=move.vm_name)]
+            )[0]
+            dest_c = registry.resolve(key_fn(destination)).predict_records(
+                [record_for_host(destination, 22.0, extra_vm=source.vms[move.vm_name])]
+            )[0]
+            assert score.predicted_source_c == source_c  # bitwise
+            assert score.predicted_destination_c == dest_c  # bitwise
+
     def test_unknown_vm_rejected(self):
         cluster = cluster_of(2)
         cluster.server("s0").host_vm(make_vm("a"))
@@ -192,45 +235,23 @@ class TestWhatIfScorer:
         ]
         assert scored.tolist() == expected
 
-class TestVmRecordCache:
-    """The per-server VmRecord cache keyed by placement generation."""
-
-    def test_cached_records_byte_identical_to_fresh(self):
+    @pytest.mark.parametrize("environment_c", [float("nan"), float("inf"), -float("inf")])
+    def test_score_moves_rejects_non_finite_environment(self, environment_c):
         cluster = cluster_of(2)
-        server = cluster.server("s0")
-        for i in range(3):
-            server.host_vm(make_vm(f"v{i}", vcpus=1 + i, level=0.2 * (i + 1)))
-        scorer = WhatIfScorer(EchoPredictor())
-        extra = make_vm("extra", vcpus=2, level=0.5)
-        for without in (None, "v1"):
-            fresh = record_for_host(server, 24.0, extra_vm=extra, without_vm=without)
-            cached = scorer._record_from_base(
-                server, 24.0, extra_vm=extra, without_vm=without
+        cluster.server("s0").host_vm(make_vm("a"))
+        moves = enumerate_evictions(cluster, ["s0"])
+        with pytest.raises(ConfigurationError, match=re.escape(repr(environment_c))):
+            WhatIfScorer(EchoPredictor()).score_moves(cluster, moves, environment_c)
+
+    @pytest.mark.parametrize("environment_c", [float("nan"), float("inf"), -float("inf")])
+    def test_score_placements_rejects_non_finite_environment(self, environment_c):
+        cluster = cluster_of(2)
+        with pytest.raises(ConfigurationError, match=re.escape(repr(environment_c))):
+            WhatIfScorer(EchoPredictor()).score_placements(
+                cluster.servers, make_vm("incoming"), environment_c
             )
-            assert cached == fresh
-            assert cached.metadata == fresh.metadata
 
-    def test_cache_reused_while_placement_unchanged(self):
-        cluster = cluster_of(1)
-        server = cluster.server("s0")
-        server.host_vm(make_vm("a"))
-        scorer = WhatIfScorer(EchoPredictor())
-        scorer._record_from_base(server, 22.0)
-        first = scorer._host_vm_records(server)
-        assert scorer._host_vm_records(server) is first
-
-    def test_cache_invalidated_by_membership_change(self):
-        cluster = cluster_of(2)
-        server = cluster.server("s0")
-        server.host_vm(make_vm("a"))
-        scorer = WhatIfScorer(EchoPredictor())
-        before = scorer._host_vm_records(server)
-        server.host_vm(make_vm("b", vcpus=3, level=0.9))
-        after = scorer._host_vm_records(server)
-        assert after is not before
-        assert [name for name, _ in after] == ["a", "b"]
-        # Scores over the refreshed cache match freshly built records.
-        record = scorer._record_from_base(server, 22.0)
-        assert record == record_for_host(server, 22.0)
-        server.remove_vm("a")
-        assert [name for name, _ in scorer._host_vm_records(server)] == ["b"]
+    def test_score_placements_needs_hosts_of_one_cluster(self):
+        hosts = cluster_of(1).servers + cluster_of(1).servers
+        with pytest.raises(ConfigurationError, match="one cluster"):
+            WhatIfScorer(EchoPredictor()).score_placements(hosts, make_vm("x"), 22.0)
