@@ -4,9 +4,12 @@ Each benchmark regenerates one of the paper's tables/figures (or one of
 our ablations) and asserts the *shape* of the result — who wins, rough
 factors, monotone trends — per the reproduction contract in DESIGN.md.
 
-Result tables are written to ``benchmark_results/`` and echoed in the
-pytest terminal summary so that ``pytest benchmarks/ --benchmark-only``
-leaves a readable record.
+Result tables are echoed in the pytest terminal summary and written to
+the git-ignored ``.benchmarks/`` directory, so an ordinary test run
+never rewrites committed files. The committed copies in
+``benchmark_results/`` change only through the regenerate command::
+
+    PYTHONPATH=src python -m pytest benchmarks -q --regenerate-results
 """
 
 from __future__ import annotations
@@ -20,7 +23,11 @@ from repro.experiments.figures import train_default_stable_model
 from repro.experiments.runner import profile_records
 from repro.experiments.scenarios import random_scenarios
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmark_results"
+ROOT = Path(__file__).resolve().parent.parent
+#: The committed result files, rewritten only with ``--regenerate-results``.
+COMMITTED_RESULTS_DIR = ROOT / "benchmark_results"
+#: Where results go on an ordinary run (git-ignored).
+RESULTS_DIR = ROOT / ".benchmarks"
 
 _tables: list[tuple[str, str]] = []
 
@@ -45,7 +52,7 @@ def record_table(title: str, text: str) -> None:
 
 
 def record_json(filename: str, payload: dict) -> None:
-    """Write a machine-readable benchmark result to ``benchmark_results/``.
+    """Write a machine-readable benchmark result to :data:`RESULTS_DIR`.
 
     Companion to :func:`record_table` for results that downstream tooling
     (CI trend tracking, the scale-sweep gate) consumes programmatically;
@@ -57,6 +64,20 @@ def record_json(filename: str, payload: dict) -> None:
     (RESULTS_DIR / filename).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regenerate-results",
+        action="store_true",
+        help="write benchmark result files into the committed benchmark_results/",
+    )
+
+
+def pytest_configure(config):
+    global RESULTS_DIR
+    if config.getoption("--regenerate-results", default=False):
+        RESULTS_DIR = COMMITTED_RESULTS_DIR
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -6,8 +6,9 @@ integration + telemetry + sensor sampling) over the contiguous
 fleet-state arrays beats the per-server object path by ≥4× at 512+
 servers, and a 1024-server headline scenario completes inside a stated
 walltime budget. The sweep writes both a human-readable table and the
-machine-readable ``benchmark_results/BENCH_fleetstate.json`` consumed by
-CI trend tracking.
+machine-readable ``BENCH_fleetstate.json`` (under ``.benchmarks/``, or the
+committed ``benchmark_results/`` with ``--regenerate-results``) consumed
+by CI trend tracking.
 
 ``FLEETSTATE_BENCH_SMOKE=1`` shrinks the sweep for tier-1 runners
 (small sizes, shorter horizon, relaxed floor); the nightly

@@ -7,8 +7,9 @@ front-end beats the naive per-request ``predict_batch`` loop by ≥5× at
 128 servers, while the virtual-latency scorecard (p50/p99, queue waits,
 cache hit rate) stays inside the configured ``max_wait_s`` budget. The
 run writes both a human-readable table and the machine-readable
-``benchmark_results/BENCH_serving_frontend.json`` consumed by CI trend
-tracking.
+``BENCH_serving_frontend.json`` (under ``.benchmarks/``, or the committed
+``benchmark_results/`` with ``--regenerate-results``) consumed by CI
+trend tracking.
 
 ``SERVING_BENCH_SMOKE=1`` shrinks the workload for tier-1 runners
 (32 servers, fewer requests, relaxed floor); the nightly

@@ -23,6 +23,18 @@ from repro.errors import ConfigurationError, TelemetryError
 from repro.management.energy import CoolingModel, EnergyAccount
 
 
+def _matured_error(bundle, time_s: float) -> float | None:
+    """|forecast − measured| of one server's matured forecast, or None."""
+    actual = bundle.cpu_temperature
+    if len(actual) == 0:
+        return None
+    try:
+        target_t, predicted = bundle.predicted_cpu_temperature.last_before(time_s)
+    except TelemetryError:
+        return None
+    return abs(predicted - actual.value_at(target_t))
+
+
 def forecast_error_at(telemetry, names: list[str], time_s: float) -> tuple[float, int]:
     """Mean |forecast − measured| over matured forecasts at ``time_s``.
 
@@ -31,24 +43,56 @@ def forecast_error_at(telemetry, names: list[str], time_s: float) -> tuple[float
     have acted on) and compares it against the measured temperature
     series interpolated at that target. Returns ``(mean_abs_error_c,
     n_scored)``; the error is NaN when no server has a matured forecast
-    yet.
+    yet. This is the per-server reference of :func:`matured_forecast_errors`.
     """
     errors = []
     for name in names:
-        bundle = telemetry.for_server(name)
-        actual = bundle.cpu_temperature
-        if len(actual) == 0:
-            continue
-        try:
-            target_t, predicted = bundle.predicted_cpu_temperature.last_before(
-                time_s
-            )
-        except TelemetryError:
-            continue
-        errors.append(abs(predicted - actual.value_at(target_t)))
+        error = _matured_error(telemetry.for_server(name), time_s)
+        if error is not None:
+            errors.append(error)
     if not errors:
         return float("nan"), 0
     return float(np.mean(errors)), len(errors)
+
+
+@dataclass(frozen=True)
+class MaturedErrors:
+    """One tick's matured forecast error per server, in name order.
+
+    ``abs_error_c[i]`` is server ``i``'s |forecast − measured| where
+    ``scored[i]``, and 0 elsewhere. :meth:`mean` aggregates any subset
+    exactly as :func:`forecast_error_at` aggregates those servers.
+    """
+
+    abs_error_c: np.ndarray
+    scored: np.ndarray
+
+    def mean(self, indices: np.ndarray | None = None) -> tuple[float, int]:
+        """``(mean_abs_error_c, n_scored)`` over all servers or ``indices``."""
+        errors, scored = self.abs_error_c, self.scored
+        if indices is not None:
+            errors, scored = errors[indices], scored[indices]
+        errors = errors[scored]
+        if errors.size == 0:
+            return float("nan"), 0
+        return float(np.mean(errors)), int(errors.size)
+
+
+def matured_forecast_errors(telemetry, names, time_s: float) -> MaturedErrors:
+    """Every server's matured forecast error at ``time_s``, in one pass.
+
+    The control tick computes this once; the ledger row and the drift
+    monitor's per-class rows both aggregate the result (see
+    :meth:`MaturedErrors.mean`).
+    """
+    errors = np.zeros(len(names))
+    scored = np.zeros(len(names), dtype=bool)
+    for i, name in enumerate(names):
+        error = _matured_error(telemetry.for_server(name), time_s)
+        if error is not None:
+            errors[i] = error
+            scored[i] = True
+    return MaturedErrors(errors, scored)
 
 
 @dataclass(frozen=True)

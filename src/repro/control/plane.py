@@ -6,10 +6,12 @@ interval (an interval probe, so the loop pays nothing on ordinary
 steps):
 
 1. **predict** — snapshot the whole cluster's Δ_gap-ahead forecasts from
-   the :class:`~repro.serving.fleet.PredictionFleet`;
+   the :class:`~repro.serving.fleet.PredictionFleet`, and read the
+   step's measured columns (utilization and true CPU temperature per
+   fleet-state slot, :class:`~repro.datacenter.simulation.StepColumns`);
 2. **detect** — :meth:`~repro.management.hotspot.HotspotDetector.detect_fleet`
-   over the forecast array (and over measured temperatures, for the
-   ledger's ground truth);
+   over the forecast array (and over the measured temperature column,
+   for the ledger's ground truth); names are built only for hotspots;
 3. **plan** — the configured
    :class:`~repro.control.policies.MitigationPolicy` proposes ranked
    moves, scoring every candidate in one batched what-if call;
@@ -19,14 +21,18 @@ steps):
    subject to a per-interval budget, per-server and per-VM cooldowns,
    and capacity reservations for migrations still in flight — the
    anti-thrash guards;
-5. **account** — the :class:`~repro.control.ledger.ControlLedger` gets
-   one row (hotspot counts, moves, act-time forecast error) and the
-   interval's IT/cooling energy through the CRAC COP model;
+5. **account** — one matured-error pass
+   (:func:`~repro.control.ledger.matured_forecast_errors`) over every
+   tracked server; the :class:`~repro.control.ledger.ControlLedger`
+   gets one row (hotspot counts, moves, the pass's act-time forecast
+   error) and the interval's IT power (from the utilization column) and
+   cooling energy through the CRAC COP model;
 6. **lifecycle** (optional) — a
    :class:`~repro.lifecycle.manager.ModelLifecycle` watches per-class
    calibration drift and, when a class's γ saturates for long enough,
    retrains it from live telemetry and atomically swaps the new model
-   version into the registry. Constructed without one (the default),
+   version into the registry; its drift monitor aggregates the same
+   matured-error pass per class. Constructed without one (the default),
    this stage does not exist and the loop is byte-for-byte the
    five-stage loop.
 
@@ -39,7 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.control.ledger import ControlLedger, forecast_error_at
+import numpy as np
+
+from repro.control.ledger import ControlLedger
+# The account pass is bound under this name so per-layer profiles
+# (``perfbench/layers.py``: ``control.account``) keep timing it.
+from repro.control.ledger import matured_forecast_errors as forecast_error_at
 from repro.control.policies import ControlView, MitigationPolicy
 from repro.datacenter.migration import migrate_vm
 from repro.datacenter.vm import VmState
@@ -159,17 +170,18 @@ class ControlPlane:
         # in live runs but may lead it in manual ticks.
         self._purge_in_flight(cluster, sim.time_s)
 
-        # 1. predict — one consistent snapshot of the fleet's forecasts.
+        # 1. predict — one consistent snapshot of the fleet's forecasts,
+        # and the step's measured columns in fleet-state slot order.
         snapshot = self.fleet.forecast_snapshot()
-        measured = {
-            server.name: server.thermal.cpu_temperature_c
-            for server in cluster.servers
-        }
+        utilization, measured_c = _step_columns(sim, time_s)
+        names = cluster.fleet_state.server_names
 
         # 2. detect — forecast hotspots drive planning, measured ones
-        # are the ledger's ground truth.
-        predicted_spots = self.detector.detect_fleet(*snapshot.forecasts())
-        measured_spots = self.detector.detect(measured)
+        # are the ledger's ground truth. NaN (unforecast) never flags.
+        predicted_spots = self.detector.detect_fleet(
+            snapshot.names, snapshot.predicted_c
+        )
+        measured_spots = self.detector.detect_fleet(names, measured_c)
 
         # 3. plan.
         planned: list[MoveScore] = []
@@ -178,7 +190,7 @@ class ControlPlane:
                 time_s=time_s,
                 cluster=cluster,
                 snapshot=snapshot,
-                measured_c=measured,
+                measured_c=dict(zip(names, measured_c.tolist())),
                 detector=self.detector,
                 scorer=self.scorer,
                 environment_c=sim.environment.temperature(time_s),
@@ -204,15 +216,13 @@ class ControlPlane:
             if self._try_issue(sim, score, time_s):
                 issued += 1
 
-        # 5. account.
-        error_c, scored = forecast_error_at(
-            sim.telemetry, list(snapshot.names), time_s
-        )
+        # 5. account — one matured-error pass feeds the ledger row and
+        # the lifecycle's drift monitor.
+        errors = forecast_error_at(sim.telemetry, snapshot.names, time_s)
+        error_c, scored = errors.mean()
         it_power_w = sum(
-            server.thermal.power_model.power(
-                server.current_load(time_s).utilization
-            )
-            for server in cluster.servers
+            server.thermal.power_model.power(u)
+            for server, u in zip(cluster.servers, utilization.tolist())
         )
         self.ledger.record_interval(
             time_s=time_s,
@@ -237,7 +247,7 @@ class ControlPlane:
         # a retrain → atomic-swap round. Runs last so retraining sees
         # this interval's accounting and never delays actuation.
         if self.lifecycle is not None:
-            round_ = self.lifecycle.step(sim, time_s, self.fleet)
+            round_ = self.lifecycle.step(sim, time_s, self.fleet, errors)
             if round_ is not None and round_.n_retrained:
                 sim.log(
                     time_s,
@@ -319,3 +329,20 @@ class ControlPlane:
         self._server_rest_until[move.destination] = rest
         self._vm_rest_until[move.vm_name] = time_s + self.config.vm_cooldown_s
         return True
+
+
+def _step_columns(sim, time_s: float):
+    """(utilization, true CPU temperature) per fleet-state slot.
+
+    The columns the simulation published for its latest step; a tick
+    outside a run (before the first step) derives them from the server
+    objects at ``time_s``.
+    """
+    columns = sim.step_columns
+    if columns is not None:
+        return columns.utilization, columns.cpu_c
+    servers = sim.cluster.servers
+    return (
+        np.array([server.current_load(time_s).utilization for server in servers]),
+        np.array([server.thermal.cpu_temperature_c for server in servers]),
+    )

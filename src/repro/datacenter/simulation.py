@@ -39,7 +39,12 @@ Two execution paths implement step 2–3:
 
 Both paths produce the same trajectories to floating-point round-off and
 identical sensor readings (``tests/thermal/test_fleet_parity.py``,
-``tests/integration/test_soa_parity.py``).
+``tests/integration/test_soa_parity.py``), and both publish the step to
+probes in one shape: :attr:`DatacenterSimulation.step_columns`, a
+:class:`StepColumns` of arrays indexed by fleet-state slot (which
+sensors sampled and their readings, every server's utilization and true
+CPU temperature). Probes read the step from there instead of polling
+telemetry series or server objects.
 
 Warm-up semantics: :meth:`DatacenterSimulation.warm_up` advances the
 physics (events and probes included) *without recording telemetry* — no
@@ -51,7 +56,9 @@ reach a thermal operating point before the measured part of a scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from repro.config import SensorConfig
 from repro.datacenter.cluster import Cluster
@@ -95,6 +102,29 @@ class _IntervalGate:
         while self._next_due <= time_s + 1e-9:
             self._next_due += self.interval_s
         self.probe(sim, time_s)
+
+
+class StepColumns(NamedTuple):
+    """One step of the whole cluster, as arrays in fleet-state slot order.
+
+    Published by both step bodies before the probes run. ``sampled``
+    holds the (ascending) slots whose sensor sampled this step and
+    ``samples_c`` their readings, taken at ``time_s``; both are empty
+    while :meth:`DatacenterSimulation.warm_up` records nothing.
+    ``utilization`` and ``cpu_c`` hold every server's CPU utilization
+    and true CPU lump temperature after the step. The arrays are valid
+    until the next step and must not be mutated.
+    """
+
+    time_s: float
+    sampled: np.ndarray
+    samples_c: np.ndarray
+    utilization: np.ndarray
+    cpu_c: np.ndarray
+
+
+_NO_SLOTS = np.empty(0, dtype=np.intp)
+_NO_VALUES = np.empty(0, dtype=float)
 
 
 @dataclass
@@ -170,12 +200,9 @@ class DatacenterSimulation:
         self._sensors: dict[str, TemperatureSensor] = {}
         self._fleet: _SoaFleet | None = None
         self._recording = True
-        #: On structure-of-arrays steps: the step's sensor samples as
-        #: ``[(server_name, time_s, value_c), ...]`` in cluster order —
-        #: a fast path for per-step probes (e.g. the prediction probe)
-        #: that would otherwise force a telemetry flush to discover new
-        #: readings. ``None`` on reference steps.
-        self.fleet_cpu_samples: list[tuple[str, float, float]] | None = None
+        #: The latest step's columns (see :class:`StepColumns`); ``None``
+        #: before the first step.
+        self.step_columns: StepColumns | None = None
 
     # -- wiring -----------------------------------------------------------
 
@@ -247,7 +274,6 @@ class DatacenterSimulation:
                 self._fleet.sync()
                 self.telemetry.flush()
                 self._fleet = None
-            self.fleet_cpu_samples = None
 
     def _step(self, dt: float) -> None:
         """Fire the step's due events, then run one step body.
@@ -311,13 +337,19 @@ class DatacenterSimulation:
 
     def _reference_body(self, dt: float, new_time: float) -> None:
         """One step on the per-server reference path."""
-        self.fleet_cpu_samples = None
         ambient = self.environment.temperature(new_time)
         recording = self._recording
         if recording:
             self.telemetry.record_environment(new_time, ambient)
-        for server in self.cluster.servers:
+        utilization: list[float] = []
+        cpu_c: list[float] = []
+        sampled: list[int] = []
+        samples_c: list[float] = []
+        for slot, server in enumerate(self.cluster.servers):
             load = server.step_thermal(dt, new_time, ambient)
+            true_c = server.thermal.cpu_temperature_c
+            utilization.append(load.utilization)
+            cpu_c.append(true_c)
             if not recording:
                 continue
             bundle = self.telemetry.for_server(server.name)
@@ -325,10 +357,18 @@ class DatacenterSimulation:
             bundle.vm_count.append(new_time, len(server.running_vms()))
             bundle.fan_count.append(new_time, server.fans.count)
             bundle.fan_speed.append(new_time, server.fans.speed)
-            sensor = self.sensor_for(server.name)
-            reading = sensor.maybe_sample(new_time, server.thermal.cpu_temperature_c)
-            if reading is not None:
-                bundle.cpu_temperature.append(reading.time_s, reading.temperature_c)
+            value = self.sensor_for(server.name).maybe_sample(new_time, true_c)
+            if value is not None:
+                bundle.cpu_temperature.append(new_time, value)
+                sampled.append(slot)
+                samples_c.append(value)
+        self.step_columns = StepColumns(
+            new_time,
+            np.array(sampled, dtype=np.intp),
+            np.array(samples_c, dtype=float),
+            np.array(utilization, dtype=float),
+            np.array(cpu_c, dtype=float),
+        )
         for probe in self._probes:
             probe(self, new_time)
 
@@ -351,26 +391,21 @@ class DatacenterSimulation:
 
         utilization = fleet.load.utilizations(new_time)
         fleet.engine.step(dt, utilization, ambient)
-        samples: list[tuple[str, float, float]] = []
-        self.fleet_cpu_samples = samples
+        cpu_c = fleet.engine.cpu_temperatures_view()
+        due, values = _NO_SLOTS, _NO_VALUES
         if recording:
             vm_counts, fan_counts, fan_speeds = fleet.emit_columns()
             telemetry.record_fleet_step(
                 new_time, fleet.names, utilization, vm_counts, fan_counts, fan_speeds
             )
             names = fleet.names
-            due, values = fleet.sensor_bank.sample_due(
-                new_time, fleet.engine.cpu_temperatures_view()
-            )
+            due, values = fleet.sensor_bank.sample_due(new_time, cpu_c)
             if due.size == len(names):
                 telemetry.record_fleet_cpu_samples(new_time, names, values)
-                for name, value in zip(names, values.tolist()):
-                    samples.append((name, new_time, value))
             else:
                 for idx, value in zip(due.tolist(), values.tolist()):
-                    name = names[idx]
-                    telemetry.append_cpu_sample(name, new_time, value)
-                    samples.append((name, new_time, value))
+                    telemetry.append_cpu_sample(names[idx], new_time, value)
+        self.step_columns = StepColumns(new_time, due, values, utilization, cpu_c)
 
         if self._probes:
             fs = fleet.fs

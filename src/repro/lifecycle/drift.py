@@ -13,10 +13,12 @@ windowed style of the :class:`~repro.control.ledger.ControlLedger`: one
 *stale* only when its saturation sustains over several consecutive
 intervals (a single hot interval is a transient, not drift).
 
-Alongside γ the monitor tracks each class's matured forecast error
-(:func:`~repro.control.ledger.forecast_error_at` restricted to the
-class's servers) — the ground-truth confirmation that saturation is
-hurting forecasts, reported in the lifecycle scorecards.
+Alongside γ the monitor tracks each class's matured forecast error —
+the ground-truth confirmation that saturation is hurting forecasts,
+reported in the lifecycle scorecards. It aggregates the control tick's
+one :class:`~repro.control.ledger.MaturedErrors` pass over the class's
+servers, which equals :func:`~repro.control.ledger.forecast_error_at`
+restricted to them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.control.ledger import forecast_error_at
 from repro.errors import ConfigurationError
 
 
@@ -100,16 +101,16 @@ class DriftMonitor:
         self.records: list[DriftIntervalRecord] = []
 
     def observe_fleet(  # reprolint: waive R004 -- fleet-native: per-class drift stats are defined over the whole fleet snapshot (γ vector grouped by model key); there is no meaningful single-server twin
-        self, time_s: float, fleet, telemetry=None
+        self, time_s: float, fleet, errors=None
     ) -> DriftIntervalRecord:
         """Record one interval's per-class signals from the live fleet.
 
         ``fleet`` is a :class:`~repro.serving.fleet.PredictionFleet`;
         its tracked servers are grouped by registry model key. Passing
-        the simulation's ``telemetry`` additionally scores each class's
-        matured forecast error; without it the error columns are NaN.
+        the tick's :class:`~repro.control.ledger.MaturedErrors` (aligned
+        with ``fleet.names``) additionally scores each class's matured
+        forecast error; without it the error columns are NaN.
         """
-        names = fleet.names
         keys = fleet.model_keys
         gamma = fleet.gamma
         by_class: dict[str, list[int]] = {}
@@ -120,10 +121,8 @@ class DriftMonitor:
             indices = np.asarray(by_class[key], dtype=np.intp)
             abs_gamma = np.abs(gamma[indices])
             error_c, scored = float("nan"), 0
-            if telemetry is not None:
-                error_c, scored = forecast_error_at(
-                    telemetry, [names[i] for i in by_class[key]], time_s
-                )
+            if errors is not None:
+                error_c, scored = errors.mean(indices)
             signals.append(
                 ClassDriftSignal(
                     key=key,

@@ -83,15 +83,17 @@ class ModelLifecycle:
             and time_s - last_attempt >= config.retry_backoff_s
         )
 
-    def step(self, sim, time_s: float, fleet) -> RetrainRound | None:
+    def step(self, sim, time_s: float, fleet, errors) -> RetrainRound | None:
         """One lifecycle tick: observe drift, retrain when warranted.
 
         Called by the control plane once per control interval (after the
-        account stage). Returns the :class:`RetrainRound` when a round
+        account stage), with the tick's
+        :class:`~repro.control.ledger.MaturedErrors` aligned with
+        ``fleet.names``. Returns the :class:`RetrainRound` when a round
         ran — even one where every stale class was skipped by the
         planner — and ``None`` on ordinary, no-drift ticks.
         """
-        self.monitor.observe_fleet(time_s, fleet, telemetry=sim.telemetry)
+        self.monitor.observe_fleet(time_s, fleet, errors)
         due = [
             key
             for key in self.monitor.stale_classes()

@@ -27,11 +27,14 @@ loop — the parity contract enforced by
 servers) by ``benchmarks/test_prediction_fleet.py``.
 
 :class:`FleetPredictionProbe` wires the service into a running
-:class:`~repro.datacenter.simulation.DatacenterSimulation`: per step it
-batches new sensor samples into ``observe``, re-queries ψ_stable for
-servers whose VM set changed, and emits predicted-vs-actual temperature
-columns into telemetry (``predicted_cpu_temperature`` alongside the
-measured ``cpu_temperature`` series).
+:class:`~repro.datacenter.simulation.DatacenterSimulation` with one step
+body for both simulation paths: it reads the step's sensor samples as
+arrays (``sim.step_columns``), batches them into ``observe``, finds
+placement changes through ``FleetState.server_generation`` and
+re-queries ψ_stable only for servers whose VM set changed, and emits
+predicted-vs-actual temperature columns into telemetry
+(``predicted_cpu_temperature`` alongside the measured
+``cpu_temperature`` series).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from repro.config import PredictionConfig
 from repro.core.monitor import record_for_server
 from repro.core.records import ExperimentRecord
-from repro.datacenter.telemetry import ServerTelemetry
+from repro.datacenter.telemetry import TimeSeries
 from repro.errors import ServingError
 from repro.management.hotspot import Hotspot, HotspotDetector
 from repro.serving.batch import PredictionRequest, predict_batch
@@ -413,6 +416,14 @@ class FleetPredictionProbe:
     its *target* time, so predicted-vs-actual columns line up against the
     measured ``cpu_temperature`` series (see :func:`predicted_vs_actual`).
 
+    One body serves both simulation step bodies: it reads the step's
+    sensor samples from ``sim.step_columns`` (slots, time, values), so
+    every sample is observed exactly once, whenever the probe was
+    attached. Placement changes are found by comparing each sampled
+    server's ``FleetState.server_generation`` with the one seen at its
+    last VM-set derivation; Eq. (2) records are built only for servers
+    that start tracking or retarget.
+
     Parameters
     ----------
     fleet:
@@ -432,224 +443,117 @@ class FleetPredictionProbe:
         self.fleet = fleet
         self._server_filter = set(servers) if servers is not None else None
         self._key_fn: ModelKeyFn = key_fn or (lambda server: DEFAULT_KEY)
-        self._sample_counts: dict[str, int] = {}
-        self._vm_sets: dict[str, frozenset[str]] = {}
-        #: Server placement generation at the last VM-set derivation;
-        #: while it holds still, the ``frozenset(server.vms)`` signature
-        #: cannot have changed and is not recomputed.
-        self._placement_gens: dict[str, int] = {}
-        self._bundles: dict[str, ServerTelemetry] = {}
+        # Per fleet-state slot, grown with the cluster: whether the slot
+        # is watched, its fleet index (-1 until its first sample tracks
+        # it), its server generation at the last VM-set derivation, and
+        # the telemetry series its forecasts go to.
+        self._watched = np.zeros(0, dtype=bool)
+        self._fleet_index = np.zeros(0, dtype=np.intp)
+        self._generation = np.zeros(0, dtype=np.int64)
+        self._predicted: list[TimeSeries | None] = []
+        self._vm_sets: dict[int, frozenset[str]] = {}
 
     def attach(self, sim) -> None:
         """Register the probe on a simulation."""
         sim.add_probe(self._on_step)
 
-    def _watched(self, sim) -> list:
-        servers = sim.cluster.servers
-        if self._server_filter is None:
-            return servers
-        return [s for s in servers if s.name in self._server_filter]
-
-    def _bundle(self, telemetry, name: str) -> ServerTelemetry:
-        """Cached per-server telemetry bundle (bundle objects are stable
-        across flushes, so one ``for_server`` per server suffices)."""
-        bundle = self._bundles.get(name)
-        if bundle is None:
-            self._bundles[name] = bundle = telemetry.for_server(name)
-        return bundle
-
-    def _retarget_decision(self, server) -> tuple[bool, bool]:
-        """(is_new, placement_changed) for a watched server this sample.
-
-        Keys off ``server.placement_generation`` so the per-interval
-        ``frozenset(server.vms)`` signature is only rebuilt for servers
-        whose placement actually moved — the decision is identical to
-        comparing fresh signatures every time, because the generation is
-        bumped by every mutation that can change the VM set.
-        """
-        name = server.name
-        generation = server.placement_generation
-        if name not in self._vm_sets:
-            self._vm_sets[name] = frozenset(server.vms)
-            self._placement_gens[name] = generation
-            return True, False
-        if generation == self._placement_gens.get(name):
-            return False, False
-        self._placement_gens[name] = generation
-        vm_set = frozenset(server.vms)
-        if vm_set == self._vm_sets[name]:
-            return False, False
-        self._vm_sets[name] = vm_set
-        return False, True
+    def _grow(self, fs) -> None:
+        """Extend the per-slot state to servers registered since last step."""
+        names = fs.server_names[len(self._predicted):]
+        server_filter = self._server_filter
+        watched = [server_filter is None or name in server_filter for name in names]
+        self._watched = np.concatenate([self._watched, np.array(watched, dtype=bool)])
+        self._fleet_index = np.concatenate(
+            [self._fleet_index, np.full(len(names), -1, dtype=np.intp)]
+        )
+        self._generation = np.concatenate(
+            [self._generation, np.zeros(len(names), dtype=np.int64)]
+        )
+        self._predicted.extend([None] * len(names))
 
     def _on_step(self, sim, time_s: float) -> None:
-        samples = getattr(sim, "fleet_cpu_samples", None)
-        if samples is not None:
-            self._on_step_fleet(sim, time_s, samples)
+        columns = sim.step_columns
+        if columns is None or columns.sampled.size == 0:
             return
+        fs = sim.cluster.fleet_state
+        if len(self._predicted) < fs.n_servers:
+            self._grow(fs)
+        slots = columns.sampled
+        values = columns.samples_c
+        if self._server_filter is not None:
+            keep = self._watched[slots]
+            slots, values = slots[keep], values[keep]
+            if slots.size == 0:
+                return
+        times = np.full(slots.shape[0], columns.time_s)
         environment_c = sim.environment.temperature(time_s)
-        telemetry = sim.telemetry
-        # One explicit flush per step (new sensor samples may sit in the
-        # pending fleet columns), then read through cached bundles rather
-        # than paying a flush check per server per step.
-        telemetry.flush()
-        new_names: list[str] = []
-        new_records: list[ExperimentRecord] = []
-        new_keys: list[str] = []
-        new_times: list[float] = []
-        new_values: list[float] = []
-        re_names: list[str] = []
-        re_records: list[ExperimentRecord] = []
-        re_times: list[float] = []
-        re_values: list[float] = []
-        sampled_names: list[str] = []
-        sampled_times: list[float] = []
-        sampled_values: list[float] = []
 
-        for server in self._watched(sim):
-            series = self._bundle(telemetry, server.name).cpu_temperature
-            count = len(series)
-            if count <= self._sample_counts.get(server.name, 0):
-                continue  # no new sensor sample this step
-            self._sample_counts[server.name] = count
-            sample_time, measured = series.last()
-            is_new, changed = self._retarget_decision(server)
-            if is_new:
-                new_names.append(server.name)
-                new_records.append(record_for_server(server, environment_c))
-                new_keys.append(self._key_fn(server))
-                new_times.append(sample_time)
-                new_values.append(measured)
-            elif changed:
-                re_names.append(server.name)
-                re_records.append(record_for_server(server, environment_c))
-                re_times.append(sample_time)
-                re_values.append(measured)
-            sampled_names.append(server.name)
-            sampled_times.append(sample_time)
-            sampled_values.append(measured)
-
-        self._predict_batch(
-            new_names,
-            new_records,
-            new_keys,
-            new_times,
-            new_values,
-            re_names,
-            re_records,
-            re_times,
-            re_values,
-            sampled_names,
-            sampled_times,
-            sampled_values,
-            sim.telemetry,
-        )
-
-    def _on_step_fleet(self, sim, time_s: float, samples) -> None:
-        """Fast path for structure-of-arrays steps.
-
-        The simulation already knows exactly which sensors sampled this
-        step (``sim.fleet_cpu_samples``, in cluster order — the same
-        order the legacy scan visits servers), so there is nothing to
-        flush and no per-server series length to poll: iterate the
-        samples, apply the same track/retarget/observe decisions, done.
-        """
-        if not samples:
-            return
-        environment_c = sim.environment.temperature(time_s)
-        cluster = sim.cluster
-        server_filter = self._server_filter
-        counts = self._sample_counts
-        new_names: list[str] = []
-        new_records: list[ExperimentRecord] = []
-        new_keys: list[str] = []
-        new_times: list[float] = []
-        new_values: list[float] = []
-        re_names: list[str] = []
-        re_records: list[ExperimentRecord] = []
-        re_times: list[float] = []
-        re_values: list[float] = []
-        sampled_names: list[str] = []
-        sampled_times: list[float] = []
-        sampled_values: list[float] = []
-
-        for name, sample_time, measured in samples:
-            if server_filter is not None and name not in server_filter:
-                continue
-            counts[name] = counts.get(name, 0) + 1
-            server = cluster.server(name)
-            is_new, changed = self._retarget_decision(server)
-            if is_new:
-                new_names.append(name)
-                new_records.append(record_for_server(server, environment_c))
-                new_keys.append(self._key_fn(server))
-                new_times.append(sample_time)
-                new_values.append(measured)
-            elif changed:
-                re_names.append(name)
-                re_records.append(record_for_server(server, environment_c))
-                re_times.append(sample_time)
-                re_values.append(measured)
-            sampled_names.append(name)
-            sampled_times.append(sample_time)
-            sampled_values.append(measured)
-
-        self._predict_batch(
-            new_names,
-            new_records,
-            new_keys,
-            new_times,
-            new_values,
-            re_names,
-            re_records,
-            re_times,
-            re_values,
-            sampled_names,
-            sampled_times,
-            sampled_values,
-            sim.telemetry,
-        )
-
-    def _predict_batch(
-        self,
-        new_names,
-        new_records,
-        new_keys,
-        new_times,
-        new_values,
-        re_names,
-        re_records,
-        re_times,
-        re_values,
-        sampled_names,
-        sampled_times,
-        sampled_values,
-        telemetry,
-    ) -> None:
-        if not sampled_names:
-            return
-        if new_names:
-            self.fleet.track(
-                new_names,
-                new_records,
-                np.asarray(new_times),
-                np.asarray(new_values),
-                keys=new_keys,
+        new = self._fleet_index[slots] < 0
+        if new.any():
+            self._track(sim, fs, slots[new], times[new], values[new], environment_c)
+        generation = fs.server_generation[slots]
+        moved = np.flatnonzero(generation != self._generation[slots])
+        if moved.size:
+            self._retarget(
+                fs,
+                slots[moved],
+                generation[moved],
+                times[moved],
+                values[moved],
+                environment_c,
             )
-        if re_names:
-            self.fleet.retarget(
-                re_names, re_records, np.asarray(re_times), np.asarray(re_values)
-            )
-        indices = self.fleet.indices(sampled_names)
-        times = np.asarray(sampled_times)
-        self.fleet.observe(times, np.asarray(sampled_values), indices)
-        targets, predicted = self.fleet.predict_ahead(times, indices)
-        for name, target, value in zip(
-            sampled_names, targets.tolist(), predicted.tolist()
+
+        fleet = self.fleet
+        indices = self._fleet_index[slots]
+        fleet.observe(times, values, indices)
+        targets, predicted = fleet.predict_ahead(times, indices)
+        series = self._predicted
+        for slot, target, value in zip(
+            slots.tolist(), targets.tolist(), predicted.tolist()
         ):
-            self._bundle(telemetry, name).predicted_cpu_temperature.append(
-                target, value
-            )
+            series[slot].append(target, value)
+
+    def _track(self, sim, fs, slots, times, values, environment_c) -> None:
+        """Seed curves for first-sampled servers (one batched ψ_stable query)."""
+        servers = [fs.server_objects[slot] for slot in slots.tolist()]
+        names = [server.name for server in servers]
+        self.fleet.track(
+            names,
+            [record_for_server(server, environment_c) for server in servers],
+            times,
+            values,
+            keys=[self._key_fn(server) for server in servers],
+        )
+        self._fleet_index[slots] = self.fleet.indices(names)
+        self._generation[slots] = fs.server_generation[slots]
+        telemetry = sim.telemetry
+        for slot, server in zip(slots.tolist(), servers):
+            self._vm_sets[slot] = frozenset(server.vms)
+            bundle = telemetry.for_server(server.name)
+            self._predicted[slot] = bundle.predicted_cpu_temperature
+
+    def _retarget(self, fs, slots, generation, times, values, environment_c) -> None:
+        """Re-anchor servers whose VM set changed since their last sample.
+
+        A generation bump without a VM-set change (a hosted VM changing
+        lifecycle state) only refreshes the remembered generation.
+        """
+        self._generation[slots] = generation
+        changed = []
+        for offset, slot in enumerate(slots.tolist()):
+            vm_set = frozenset(fs.server_objects[slot].vms)
+            if vm_set != self._vm_sets[slot]:
+                self._vm_sets[slot] = vm_set
+                changed.append(offset)
+        if not changed:
+            return
+        servers = [fs.server_objects[slot] for slot in slots[changed].tolist()]
+        self.fleet.retarget(
+            [server.name for server in servers],
+            [record_for_server(server, environment_c) for server in servers],
+            times[changed],
+            values[changed],
+        )
 
 
 def predicted_vs_actual(

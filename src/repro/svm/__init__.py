@@ -27,7 +27,6 @@ from repro.svm.metrics import mean_absolute_error, mean_squared_error, r2_score,
 from repro.svm.ridge import KernelRidge
 from repro.svm.scaling import MinMaxScaler, StandardScaler
 from repro.svm.smo import SmoResult, solve_svr_dual, solve_svr_dual_batch
-from repro.svm.svc import SupportVectorClassifier
 from repro.svm.svr import EpsilonSVR
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "RbfKernel",
     "SmoResult",
     "StandardScaler",
-    "SupportVectorClassifier",
     "cross_val_mse",
     "grid_search_svr",
     "mean_absolute_error",

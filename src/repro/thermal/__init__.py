@@ -23,7 +23,7 @@ from repro.thermal.fan import FanBank
 from repro.thermal.fleet import FleetThermalEngine
 from repro.thermal.power import CpuPowerModel
 from repro.thermal.rc import RcNetwork, ThermalNode
-from repro.thermal.sensors import SensorBank, SensorReading, TemperatureSensor
+from repro.thermal.sensors import SensorBank, TemperatureSensor
 from repro.thermal.server_thermal import ServerThermalModel
 from repro.thermal.solver import euler_step, integrate, rk4_step
 
@@ -37,7 +37,6 @@ __all__ = [
     "FleetThermalEngine",
     "RcNetwork",
     "SensorBank",
-    "SensorReading",
     "ServerThermalModel",
     "SinusoidalEnvironment",
     "SteppedEnvironment",

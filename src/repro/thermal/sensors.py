@@ -5,24 +5,19 @@ reports: the true temperature corrupted by Gaussian read noise, then
 quantized to the sensor's register resolution, sampled on a fixed period.
 This mirrors the information available from IPMI/coretemp on the paper's
 testbed.
+
+A sensor owns only its noise stream and its sampling schedule; it keeps
+no history. The simulation records every sample once, into the
+telemetry ``cpu_temperature`` series, and publishes each step's samples
+to probes as arrays (:class:`~repro.datacenter.simulation.StepColumns`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.config import SensorConfig
 from repro.rng import RngStream
-
-
-@dataclass(frozen=True)
-class SensorReading:
-    """One sampled sensor value."""
-
-    time_s: float
-    temperature_c: float
 
 
 class TemperatureSensor:
@@ -40,24 +35,16 @@ class TemperatureSensor:
         self.config = config
         self._rng = rng
         self._next_sample_time = 0.0
-        self._readings: list[SensorReading] = []
 
-    @property
-    def readings(self) -> list[SensorReading]:
-        """All samples taken so far (oldest first)."""
-        return self._readings
-
-    def read(self, time_s: float, true_temperature_c: float) -> SensorReading:
-        """Take an immediate (out-of-schedule) reading."""
+    def read(self, true_temperature_c: float) -> float:
+        """Take an immediate (out-of-schedule) reading, in °C."""
         value = true_temperature_c + self._rng.gauss(0.0, self.config.noise_std_c)
         q = self.config.quantization_c
         if q > 0:
             value = round(value / q) * q
-        reading = SensorReading(time_s=time_s, temperature_c=value)
-        self._readings.append(reading)
-        return reading
+        return value
 
-    def maybe_sample(self, time_s: float, true_temperature_c: float) -> SensorReading | None:
+    def maybe_sample(self, time_s: float, true_temperature_c: float) -> float | None:
         """Sample if the sampling period elapsed; return the reading or None.
 
         Intended to be called every simulation step; the sensor keeps its
@@ -65,32 +52,16 @@ class TemperatureSensor:
         """
         if time_s + 1e-9 < self._next_sample_time:
             return None
-        reading = self.read(time_s, true_temperature_c)
+        value = self.read(true_temperature_c)
         self._next_sample_time = self._next_sample_time + self.config.sampling_period_s
         # If the simulation jumped past several periods, re-anchor rather
         # than emitting a burst of stale samples.
         if self._next_sample_time <= time_s:
             self._next_sample_time = time_s + self.config.sampling_period_s
-        return reading
-
-    def readings_between(self, t0: float, t1: float) -> list[SensorReading]:
-        """Samples with ``t0 <= time < t1``."""
-        return [r for r in self._readings if t0 <= r.time_s < t1]
-
-    def mean_between(self, t0: float, t1: float) -> float:
-        """Mean sampled temperature over ``[t0, t1)``.
-
-        This is exactly the paper's Eq. (1) estimator when called with
-        ``(t_break, t_exp)``.
-        """
-        window = self.readings_between(t0, t1)
-        if not window:
-            raise ValueError(f"no sensor readings in [{t0}, {t1})")
-        return sum(r.temperature_c for r in window) / len(window)
+        return value
 
     def reset(self) -> None:
-        """Drop history and restart the sampling schedule."""
-        self._readings.clear()
+        """Restart the sampling schedule."""
         self._next_sample_time = 0.0
 
 
@@ -100,11 +71,10 @@ class SensorBank:
     The fleet co-simulation loop calls :meth:`sample_due` every step; the
     due check is a single array comparison, and only sensors whose period
     actually elapsed pay the per-sensor Python cost of a noise draw.
-    Noise addition and quantization are applied vectorized, and each
-    sensor's reading history stays populated, so a bank produces exactly
-    the readings — same random draws, same values — as per-sensor
-    :meth:`TemperatureSensor.maybe_sample` polling, including the burst
-    re-anchor after a time jump.
+    Noise addition and quantization are applied vectorized, so a bank
+    produces exactly the values — same random draws, same rounding — as
+    per-sensor :meth:`TemperatureSensor.maybe_sample` polling, including
+    the burst re-anchor after a time jump.
 
     The bank owns the schedule while live; :meth:`writeback` pushes the
     per-sensor deadlines back into the sensor objects so direct
@@ -135,7 +105,7 @@ class SensorBank:
 
         ``true_temperatures_c`` is indexed like the ``sensors`` list.
         Returns ``(due_indices, values)``: the indices of sensors that
-        sampled this step and their recorded temperatures.
+        sampled this step and their readings.
         """
         due = np.nonzero(time_s + 1e-9 >= self._next)[0]
         if due.size == 0:
@@ -150,8 +120,6 @@ class SensorBank:
         quantize = q > 0
         if quantize.any():
             values = np.where(quantize, np.round(values / np.where(quantize, q, 1.0)) * q, values)
-        for i, value in zip(due.tolist(), values.tolist()):
-            self.sensors[i]._readings.append(SensorReading(time_s, value))
         self._next[due] += self._period[due]
         # Re-anchor sensors the simulation jumped past (burst suppression),
         # mirroring TemperatureSensor.maybe_sample.

@@ -242,8 +242,8 @@ class StubLifecycle:
     def __init__(self):
         self.ticks = []
 
-    def step(self, sim, time_s, fleet):
-        self.ticks.append((time_s, fleet.n_servers))
+    def step(self, sim, time_s, fleet, errors):
+        self.ticks.append((time_s, fleet.n_servers, errors.mean()[1]))
         return None
 
 
@@ -258,7 +258,7 @@ class TestLifecycleStage:
             lifecycle=lifecycle,
         )
         plane._on_step(sim, 60.0)
-        assert lifecycle.ticks == [(60.0, 0)]
+        assert lifecycle.ticks == [(60.0, 0, 0)]
         assert plane.ledger.n_intervals == 1  # account ran before lifecycle
 
     def test_no_lifecycle_is_the_default(self):

@@ -216,7 +216,7 @@ class TestWarmUp:
         bundle = sim.telemetry.for_server("s0")
         assert len(bundle.utilization) == 0
         assert len(bundle.cpu_temperature) == 0
-        assert sim.sensor_for("s0").readings == []
+        assert sim.step_columns.sampled.size == 0
 
     def test_warm_up_advances_physics(self):
         sim = make_sim()

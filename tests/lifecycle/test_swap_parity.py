@@ -110,7 +110,7 @@ class NoOpSwapLifecycle:
         self.registry = registry
         self.swaps = 0
 
-    def step(self, sim, time_s, fleet):
+    def step(self, sim, time_s, fleet, errors):
         for key in self.registry.keys():
             if not self.registry.is_alias(key):
                 entry = self.registry.resolve(key)
