@@ -6,8 +6,9 @@ attaches to a running simulation, consumes sensor samples online,
 maintains a calibrated dynamic predictor per server, retargets whenever
 a VM set changes (here: a migration), and raises predicted-hotspot
 warnings *before* the temperature arrives — the proactive stance the
-paper's introduction argues for. When a hotspot is predicted, the
-migration advisor recommends which VM to move where.
+paper's introduction argues for. When a hotspot is predicted, every
+(VM, destination) move off the hot server is scored in one batched
+what-if call and the move with the lowest predicted peak is proposed.
 
 Run:  python examples/online_monitoring.py
 """
@@ -21,7 +22,7 @@ from repro.datacenter.simulation import DatacenterSimulation
 from repro.datacenter.vm import Vm, VmSpec
 from repro.datacenter.workload import ConstantTask
 from repro.experiments.figures import train_default_stable_model
-from repro.management.advisor import MigrationAdvisor
+from repro.management.whatif import WhatIfScorer, enumerate_evictions
 from repro.rng import RngFactory
 from repro.thermal.environment import ConstantEnvironment
 
@@ -89,13 +90,20 @@ def main() -> None:
 
     hot = monitor.predicted_hotspots(threshold_c=70.0)
     if hot:
-        print(f"\n== predicted hotspots: {hot} — asking the advisor ==")
-        advisor = MigrationAdvisor(predictor, environment_c=22.0)
-        advice = advisor.advise(cluster, hot[0], threshold_c=75.0)
+        print(f"\n== predicted hotspots: {hot} — scoring moves off {hot[0]} ==")
+        moves = enumerate_evictions(cluster, [hot[0]])
+        scores = WhatIfScorer(predictor).score_moves(cluster, moves, environment_c=22.0)
+        if not scores:
+            print(f"  no feasible destination for any VM on {hot[0]}")
+            return
+        best = min(scores, key=lambda score: score.predicted_peak_c)
+        verdict = "clears" if best.predicted_source_c <= 75.0 else "does not clear"
         print(
-            f"  move {advice.vm_name} from {advice.source} to "
-            f"{advice.destination}: predicted {advice.predicted_source_c:.1f} °C / "
-            f"{advice.predicted_destination_c:.1f} °C after the move"
+            f"  best of {len(scores)} moves: {best.move.vm_name} from "
+            f"{best.move.source} to {best.move.destination}: predicted "
+            f"{best.predicted_source_c:.1f} °C / "
+            f"{best.predicted_destination_c:.1f} °C after the move "
+            f"({verdict} 75 °C)"
         )
     else:
         print("\nno predicted hotspots at 70 °C.")

@@ -9,8 +9,8 @@ every substrate the paper's testbed provided:
   prediction (Eq. 8);
 * :mod:`repro.svm` — from-scratch ε-SVR/SMO, grid search, CV (LIBSVM +
   easygrid substitute);
-* :mod:`repro.thermal` — RC-network server thermal plant (testbed
-  substitute);
+* :mod:`repro.thermal` — two-lump RC server thermal plant (testbed
+  substitute), per server and vectorized over the fleet;
 * :mod:`repro.datacenter` — VMs, VMM, migration, schedulers, telemetry,
   co-simulation;
 * :mod:`repro.management` — thermal management built on the predictions

@@ -145,7 +145,7 @@ class TemperatureMonitor:
             if len(series) <= seen:
                 continue  # no new sensor sample this step
             self._last_sample_count[server.name] = len(series)
-            sample_time, measured = series.times[-1], series.values[-1]
+            sample_time, measured = series.last()
 
             log = self.logs.setdefault(server.name, ServerForecastLog(server.name))
             log.observations.append((sample_time, measured))

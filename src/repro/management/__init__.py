@@ -11,13 +11,12 @@ and cutting cooling power (§I). This subpackage closes that loop:
   picks the coolest predicted outcome;
 * :mod:`repro.management.whatif` — the shared batched what-if path: one
   hypothetical-record builder and one batched candidate scorer that the
-  advisor, the scheduler, and the closed-loop control plane
-  (:mod:`repro.control`) all drive;
+  scheduler and the closed-loop control plane (:mod:`repro.control`)
+  both drive;
 * :mod:`repro.management.energy` — CRAC cooling-power model (COP curve)
   and energy accounting, so policies can be compared in watts.
 """
 
-from repro.management.advisor import MigrationAdvice, MigrationAdvisor
 from repro.management.energy import CoolingModel, EnergyAccount
 from repro.management.hotspot import Hotspot, HotspotDetector
 from repro.management.thermal_aware import PlacementDecision, ThermalAwareScheduler
@@ -35,8 +34,6 @@ __all__ = [
     "EnergyAccount",
     "Hotspot",
     "HotspotDetector",
-    "MigrationAdvice",
-    "MigrationAdvisor",
     "MoveScore",
     "PlacementDecision",
     "ThermalAwareScheduler",

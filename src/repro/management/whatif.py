@@ -3,9 +3,8 @@
 Every prediction-driven management decision asks the stable model the
 same two questions: *"how hot would this host be without VM x?"* and
 *"how hot would this host be with VM x added?"*. The
-:class:`~repro.management.advisor.MigrationAdvisor`, the
 :class:`~repro.management.thermal_aware.ThermalAwareScheduler` and the
-closed-loop control plane in :mod:`repro.control` all ask them here:
+closed-loop control plane in :mod:`repro.control` both ask them here:
 
 * :func:`record_for_host` — the reference hypothetical-record builder
   (current VM set, optionally minus ``without_vm`` and/or plus

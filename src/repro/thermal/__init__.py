@@ -4,12 +4,13 @@ This subpackage models the physical side of a server that the paper's
 testbed measures with hardware sensors:
 
 * :mod:`repro.thermal.power` — CPU package power as a function of load;
-* :mod:`repro.thermal.rc` — generic resistor–capacitor thermal networks;
-* :mod:`repro.thermal.solver` — fixed-step ODE integrators;
 * :mod:`repro.thermal.fan` — fan bank: airflow, resistance scaling, fan power;
 * :mod:`repro.thermal.sensors` — noisy, quantized, periodically sampled sensors;
 * :mod:`repro.thermal.environment` — environment/inlet temperature profiles;
-* :mod:`repro.thermal.server_thermal` — the assembled per-server plant.
+* :mod:`repro.thermal.server_thermal` — the assembled per-server plant, a
+  two-lump (CPU die, case air) RC chain stepped with forward Euler;
+* :mod:`repro.thermal.fleet` — the same chain for every server at once;
+* :mod:`repro.thermal.controller` — closed-loop PI fan control.
 """
 
 from repro.thermal.controller import FanController, FanControllerConfig
@@ -22,10 +23,8 @@ from repro.thermal.environment import (
 from repro.thermal.fan import FanBank
 from repro.thermal.fleet import FleetThermalEngine
 from repro.thermal.power import CpuPowerModel
-from repro.thermal.rc import RcNetwork, ThermalNode
 from repro.thermal.sensors import SensorBank, TemperatureSensor
 from repro.thermal.server_thermal import ServerThermalModel
-from repro.thermal.solver import euler_step, integrate, rk4_step
 
 __all__ = [
     "ConstantEnvironment",
@@ -35,14 +34,9 @@ __all__ = [
     "FanController",
     "FanControllerConfig",
     "FleetThermalEngine",
-    "RcNetwork",
     "SensorBank",
     "ServerThermalModel",
     "SinusoidalEnvironment",
     "SteppedEnvironment",
     "TemperatureSensor",
-    "ThermalNode",
-    "euler_step",
-    "integrate",
-    "rk4_step",
 ]

@@ -49,10 +49,19 @@ class FanControllerConfig:
 class FanController:
     """PI fan-speed controller for one server.
 
-    Drive it from a simulation probe::
+    Drive it from a simulation probe with the server's sensor readings,
+    which every step publishes in ``sim.step_columns``::
 
         controller = FanController(server)
-        sim.add_probe(lambda s, t: controller.step(t, s.sensor_for(server.name)))
+        slot = sim.cluster.fleet_state.server_names.index(server.name)
+
+        def fan_probe(sim, time_s):
+            step = sim.step_columns
+            hit = np.flatnonzero(step.sampled == slot)
+            if hit.size:
+                controller.update(time_s, float(step.samples_c[hit[0]]))
+
+        sim.add_probe(fan_probe)
 
     or call :meth:`update` directly with sensor readings.
     """

@@ -18,14 +18,10 @@ from repro.config import ThermalConfig
 from repro.errors import SimulationError
 from repro.thermal.fan import FanBank
 from repro.thermal.power import CpuPowerModel
-from repro.thermal.rc import RcNetwork, ThermalNode
-
-CPU_NODE = "cpu"
-CASE_NODE = "case"
 
 
 class ServerThermalModel:
-    """Thermal plant of one server: power model + fan bank + RC network.
+    """Thermal plant of one server: power model + fan bank + two-lump chain.
 
     Parameters
     ----------
@@ -54,21 +50,12 @@ class ServerThermalModel:
         self._fs = None
         self._slot = -1
         self._time_s = 0.0
+        self._t_cpu = initial_temperature_c
+        self._t_case = initial_temperature_c
         self.power_model = power_model
         self.config = config or ThermalConfig()
         self._fans = fans
-        self._network = RcNetwork(
-            nodes=[
-                ThermalNode(CPU_NODE, self.config.cpu_heat_capacity_j_per_k),
-                ThermalNode(
-                    CASE_NODE,
-                    self.config.case_heat_capacity_j_per_k,
-                    ambient_resistance_k_per_w=self._case_resistance(),
-                ),
-            ]
-        )
-        self._network.connect(CPU_NODE, CASE_NODE, self.config.cpu_to_case_resistance_k_per_w)
-        self._network.set_all_temperatures(initial_temperature_c)
+        self._r_case = self._case_resistance()
 
     @property
     def time_s(self) -> float:
@@ -94,11 +81,9 @@ class ServerThermalModel:
     def set_fans(self, fans: FanBank) -> None:
         """Swap the fan bank (count or speed change) and retune the plant."""
         self._fans = fans
-        self._network.set_ambient_resistance(CASE_NODE, self._case_resistance())
+        self._r_case = self._case_resistance()
         if self._fs is not None:
-            self._fs.retune_plant(
-                self._slot, self._case_resistance(), fans.power_w()
-            )
+            self._fs.retune_plant(self._slot, self._r_case, fans.power_w())
 
     def _case_resistance(self) -> float:
         return (
@@ -108,31 +93,32 @@ class ServerThermalModel:
     # -- dynamics --------------------------------------------------------
 
     def step(self, dt_s: float, utilization: float, ambient_c: float) -> None:
-        """Advance the plant ``dt_s`` seconds at the given CPU utilization."""
+        """Advance the plant ``dt_s`` seconds at the given CPU utilization.
+
+        Forward Euler, written exactly as
+        :meth:`~repro.thermal.fleet.FleetThermalEngine.step` writes it, so
+        both paths produce the same bits. The solver step (1 s) is two
+        orders of magnitude below the smallest time constant (~100 s).
+        """
         if dt_s <= 0:
             raise SimulationError(f"dt_s must be > 0, got {dt_s}")
-        fs = self._fs
-        if fs is not None:
-            # The arrays are truth; pull the lump state in before
-            # integrating (the fleet engine may have advanced it there).
-            self._network.set_temperature(CPU_NODE, float(fs.t_cpu_c[self._slot]))
-            self._network.set_temperature(CASE_NODE, float(fs.t_case_c[self._slot]))
-        powers = {
-            CPU_NODE: self.power_model.power(utilization),
-            CASE_NODE: self._fans.power_w(),
-        }
-        self._network.step(dt_s, powers, ambient_c)
-        if fs is not None:
-            fs.set_plant_temperatures(
-                self._slot,
-                self._network.temperature(CPU_NODE),
-                self._network.temperature(CASE_NODE),
-            )
+        config = self.config
+        p_cpu = self.power_model.power(utilization)
+        t_cpu = self.cpu_temperature_c
+        t_case = self.case_temperature_c
+        q = (t_case - t_cpu) / config.cpu_to_case_resistance_k_per_w
+        d_cpu = (p_cpu + q) / config.cpu_heat_capacity_j_per_k
+        d_case = (
+            self._fans.power_w() - q + (ambient_c - t_case) / self._r_case
+        ) / config.case_heat_capacity_j_per_k
+        self.set_temperatures(t_cpu + dt_s * d_cpu, t_case + dt_s * d_case)
         self.time_s += dt_s
 
     def advance(self, duration_s: float, utilization: float, ambient_c: float) -> None:
         """Integrate over a longer window at constant load, honoring the
         configured solver step."""
+        if duration_s < 0:
+            raise SimulationError(f"duration_s must be >= 0, got {duration_s}")
         remaining = duration_s
         dt = self.config.time_step_s
         while remaining > 1e-9:
@@ -147,30 +133,41 @@ class ServerThermalModel:
         """True (pre-sensor) CPU lump temperature."""
         if self._fs is not None:
             return float(self._fs.t_cpu_c[self._slot])
-        return self._network.temperature(CPU_NODE)
+        return self._t_cpu
 
     @property
     def case_temperature_c(self) -> float:
         """True case-air lump temperature."""
         if self._fs is not None:
             return float(self._fs.t_case_c[self._slot])
-        return self._network.temperature(CASE_NODE)
+        return self._t_case
 
     def set_temperatures(self, cpu_c: float, case_c: float) -> None:
-        """Force the plant state (scenario initialization)."""
-        self._network.set_temperature(CPU_NODE, cpu_c)
-        self._network.set_temperature(CASE_NODE, case_c)
+        """Set both lump temperatures (scenario initialization and
+        :meth:`step`); a bound plant writes its fleet-state slot."""
         if self._fs is not None:
             self._fs.set_plant_temperatures(self._slot, cpu_c, case_c)
+        else:
+            self._t_cpu = cpu_c
+            self._t_case = case_c
 
     def steady_state_cpu_temperature(self, utilization: float, ambient_c: float) -> float:
         """Exact stable CPU temperature at constant load — the physical
-        quantity the paper's ψ_stable estimates from sensor data."""
-        powers = {
-            CPU_NODE: self.power_model.power(utilization),
-            CASE_NODE: self._fans.power_w(),
-        }
-        return self._network.steady_state(powers, ambient_c)[CPU_NODE]
+        quantity the paper's ψ_stable estimates from sensor data.
+
+        Solves ``dT/dt = 0`` for the chain: the case settles at
+        ``T_amb + R_case·(P_cpu + P_fan)`` and the CPU ``R_die·P_cpu``
+        above it. The arithmetic is the elimination of the 2×2
+        conductance system in its natural order, which rounds differently
+        from the closed forms above and is kept so stable temperatures
+        stay bit-identical across releases.
+        """
+        g_die = 1.0 / self.config.cpu_to_case_resistance_k_per_w
+        g_case = 1.0 / self._r_case
+        p_cpu = self.power_model.power(utilization)
+        p_fan = self._fans.power_w()
+        t_case = ((p_fan + ambient_c * g_case) + p_cpu) / ((g_die + g_case) - g_die)
+        return (p_cpu - (-g_die) * t_case) / g_die
 
     def dominant_time_constant_s(self) -> float:
         """Upper-bound estimate of the slowest time constant (s).
@@ -179,7 +176,7 @@ class ServerThermalModel:
         capacitance seen through the total resistance; used by tests to
         check that ``t_break`` covers the transient.
         """
-        r_total = self.config.cpu_to_case_resistance_k_per_w + self._case_resistance()
+        r_total = self.config.cpu_to_case_resistance_k_per_w + self._r_case
         c_total = (
             self.config.cpu_heat_capacity_j_per_k + self.config.case_heat_capacity_j_per_k
         )

@@ -1,11 +1,18 @@
 """Unit tests for the closed-loop fan controller."""
 
+import inspect
+import textwrap
+
+import numpy as np
 import pytest
 
+from repro.datacenter.cluster import Cluster
+from repro.datacenter.server import Server
+from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import ConfigurationError
+from repro.rng import RngFactory
 from repro.thermal.controller import FanController, FanControllerConfig
 from tests.conftest import make_server_spec, make_vm
-from repro.datacenter.server import Server
 
 
 def loaded_server(level=1.0) -> Server:
@@ -101,3 +108,40 @@ class TestValidation:
     def test_rejects_nonpositive_period(self):
         with pytest.raises(ConfigurationError):
             FanControllerConfig(period_s=0.0)
+
+
+def documented_wiring() -> str:
+    """The probe wiring from the ``FanController`` docstring, as code."""
+    doc = inspect.cleandoc(FanController.__doc__)
+    block = doc.split("::\n", 1)[1].split("\nor call", 1)[0]
+    return textwrap.dedent(block)
+
+
+class TestSimulationWiring:
+    def test_documented_probe_wiring_drives_the_plant(self):
+        server = loaded_server()
+        cluster = Cluster("fans")
+        cluster.add_server(Server(make_server_spec(name="idle")))
+        cluster.add_server(server)
+        sim = DatacenterSimulation(cluster=cluster, rng=RngFactory(5))
+        namespace = {"FanController": FanController, "np": np, "server": server, "sim": sim}
+        exec(documented_wiring(), namespace)
+        controller = namespace["controller"]
+        sim.run(1500.0)
+
+        # One action per control period, each on a fresh sensor reading.
+        assert len(controller.actions) >= 100
+        assert len({speed for _, speed in controller.actions}) > 1
+        plant = server.thermal
+        assert plant.fans.speed == controller.current_speed != 0.4
+        # The bound plant's fleet-state coefficients follow each retune.
+        fs = cluster.fleet_state
+        slot = fs.server_names.index(server.name)
+        assert fs.r_case_eff[slot] == (
+            plant.config.case_to_ambient_resistance_k_per_w
+            * plant.fans.resistance_scale()
+        )
+        assert fs.p_case_fan_w[slot] == plant.fans.power_w()
+        assert plant.cpu_temperature_c == pytest.approx(
+            controller.config.setpoint_c, abs=4.0
+        )

@@ -1,133 +1,163 @@
-"""Unit tests for the RC thermal network."""
+"""Unit tests for the RC physics of the per-server plant's two-lump chain.
 
-import math
+``ServerThermalModel`` is a CPU lump and a case lump in a chain:
+``R_die`` between them and the fan-scaled ``R_case`` to ambient. CPU
+power enters the CPU lump and fan power enters the case lump.
+"""
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.thermal.rc import RcNetwork, ThermalNode
+from repro.config import ThermalConfig
+from repro.errors import ConfigurationError
+from repro.thermal.fan import FanBank
+from repro.thermal.power import CpuPowerModel
+from repro.thermal.server_thermal import ServerThermalModel
+from tests.thermal.test_solver import exact_temperatures
 
 
-def single_lump(c: float = 100.0, r: float = 0.5) -> RcNetwork:
-    net = RcNetwork(nodes=[ThermalNode("lump", c, ambient_resistance_k_per_w=r)])
-    net.set_all_temperatures(20.0)
-    return net
-
-
-def two_lump_chain() -> RcNetwork:
-    net = RcNetwork(
-        nodes=[
-            ThermalNode("cpu", 150.0),
-            ThermalNode("case", 2000.0, ambient_resistance_k_per_w=0.06),
-        ]
+def two_lump_chain(
+    fans: FanBank | None = None, config: ThermalConfig | None = None
+) -> ServerThermalModel:
+    return ServerThermalModel(
+        power_model=CpuPowerModel.for_capacity(total_ghz=38.4, memory_gb=64.0),
+        fans=fans or FanBank(count=4, speed=0.7),
+        config=config,
+        initial_temperature_c=22.0,
     )
-    net.connect("cpu", "case", 0.18)
-    net.set_all_temperatures(22.0)
-    return net
+
+
+def single_lump(fan_power_w_per_fan: float = 9.0) -> ServerThermalModel:
+    """A chain whose CPU draws no power at idle: no heat crosses ``R_die``
+    in steady state, so only the case lump, heated by its fans, is left."""
+    return ServerThermalModel(
+        power_model=CpuPowerModel(idle_power_w=0.0, memory_gb=0.0),
+        fans=FanBank(count=4, speed=0.7, max_power_w_per_fan=fan_power_w_per_fan),
+        initial_temperature_c=20.0,
+    )
+
+
+def case_resistance(plant: ServerThermalModel) -> float:
+    return plant.config.case_to_ambient_resistance_k_per_w * plant.fans.resistance_scale()
 
 
 class TestSingleLump:
     def test_steady_state_matches_analytic(self):
-        net = single_lump(c=100.0, r=0.5)
-        # T_ss = T_amb + P·R
-        ss = net.steady_state({"lump": 100.0}, ambient_c=20.0)
-        assert ss["lump"] == pytest.approx(20.0 + 100.0 * 0.5)
+        plant = single_lump()
+        # T_ss = T_amb + P_fan·R_case, and the idle CPU sits at the case.
+        expected = 20.0 + plant.fans.power_w() * case_resistance(plant)
+        assert plant.steady_state_cpu_temperature(0.0, 20.0) == pytest.approx(
+            expected, rel=1e-12
+        )
+        plant.advance(8000.0, utilization=0.0, ambient_c=20.0)
+        assert plant.case_temperature_c == pytest.approx(expected, abs=1e-3)
+        assert plant.cpu_temperature_c == pytest.approx(expected, abs=1e-3)
 
     def test_transient_matches_exponential(self):
-        c, r, p, amb = 100.0, 0.5, 100.0, 20.0
-        net = single_lump(c=c, r=r)
-        dt, t_end = 0.05, 100.0
-        steps = int(t_end / dt)
-        for _ in range(steps):
-            net.step(dt, {"lump": p}, amb)
-        tau = r * c
-        expected = amb + p * r * (1.0 - math.exp(-t_end / tau))
-        assert net.temperature("lump") == pytest.approx(expected, abs=0.05)
+        plant = single_lump()
+        expected = exact_temperatures(plant, 0.0, 20.0, 300.0)
+        plant.advance(300.0, utilization=0.0, ambient_c=20.0)
+        assert plant.case_temperature_c == pytest.approx(expected[1], abs=0.01)
+        assert plant.cpu_temperature_c == pytest.approx(expected[0], abs=0.01)
+        # Still rising: the transient is not yet settled at 300 s.
+        assert plant.case_temperature_c < plant.steady_state_cpu_temperature(0.0, 20.0)
 
     def test_no_power_relaxes_to_ambient(self):
-        net = single_lump()
-        net.set_temperature("lump", 80.0)
-        for _ in range(100_000):
-            net.step(0.1, {}, 20.0)
-        assert net.temperature("lump") == pytest.approx(20.0, abs=1e-3)
+        plant = single_lump(fan_power_w_per_fan=0.0)
+        plant.set_temperatures(80.0, 60.0)
+        plant.advance(10_000.0, utilization=0.0, ambient_c=20.0)
+        assert plant.cpu_temperature_c == pytest.approx(20.0, abs=1e-3)
+        assert plant.case_temperature_c == pytest.approx(20.0, abs=1e-3)
 
 
 class TestTwoLumpChain:
     def test_steady_state_series_resistance(self):
-        net = two_lump_chain()
-        p = 150.0
-        ss = net.steady_state({"cpu": p}, ambient_c=22.0)
-        assert ss["case"] == pytest.approx(22.0 + p * 0.06)
-        assert ss["cpu"] == pytest.approx(22.0 + p * (0.06 + 0.18))
+        plant = two_lump_chain()
+        p_cpu = plant.power_model.power(0.8)
+        p_fan = plant.fans.power_w()
+        r_die = plant.config.cpu_to_case_resistance_k_per_w
+        expected = 22.0 + case_resistance(plant) * (p_cpu + p_fan) + r_die * p_cpu
+        assert plant.steady_state_cpu_temperature(0.8, 22.0) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_power_into_case_heats_case_only_path(self):
-        net = two_lump_chain()
-        ss = net.steady_state({"case": 50.0}, ambient_c=22.0)
-        # Heat injected at the case does not flow through the die
-        # resistance, so the cpu equals the case in steady state.
-        assert ss["cpu"] == pytest.approx(ss["case"])
-        assert ss["case"] == pytest.approx(22.0 + 50.0 * 0.06)
+        # Fan power enters at the case: it does not flow through the die
+        # resistance, so it lifts both lumps by R_case·ΔP_fan and leaves the
+        # CPU–case gap (R_die·P_cpu) unchanged.
+        quiet = two_lump_chain(FanBank(count=4, speed=0.7, max_power_w_per_fan=0.0))
+        loud = two_lump_chain(FanBank(count=4, speed=0.7, max_power_w_per_fan=20.0))
+        delta = loud.steady_state_cpu_temperature(0.5, 22.0) - quiet.steady_state_cpu_temperature(
+            0.5, 22.0
+        )
+        assert delta == pytest.approx(case_resistance(loud) * loud.fans.power_w(), rel=1e-9)
+        for plant in (quiet, loud):
+            plant.advance(8000.0, utilization=0.5, ambient_c=22.0)
+        gap_quiet = quiet.cpu_temperature_c - quiet.case_temperature_c
+        gap_loud = loud.cpu_temperature_c - loud.case_temperature_c
+        assert gap_loud == pytest.approx(gap_quiet, abs=1e-3)
+        assert loud.case_temperature_c - quiet.case_temperature_c == pytest.approx(
+            delta, abs=1e-3
+        )
 
     def test_integration_converges_to_steady_state(self):
-        net = two_lump_chain()
-        target = net.steady_state({"cpu": 150.0}, ambient_c=22.0)
-        for _ in range(6000):
-            net.step(1.0, {"cpu": 150.0}, 22.0)
-        assert net.temperature("cpu") == pytest.approx(target["cpu"], abs=0.01)
-        assert net.temperature("case") == pytest.approx(target["case"], abs=0.01)
+        plant = two_lump_chain()
+        plant.advance(6000.0, utilization=0.8, ambient_c=22.0)
+        assert plant.cpu_temperature_c == pytest.approx(
+            plant.steady_state_cpu_temperature(0.8, 22.0), abs=0.01
+        )
+        # After a fan retune it converges again, to the new steady state.
+        plant.set_fans(FanBank(count=2, speed=0.5))
+        plant.advance(8000.0, utilization=0.8, ambient_c=22.0)
+        target = plant.steady_state_cpu_temperature(0.8, 22.0)
+        assert plant.cpu_temperature_c == pytest.approx(target, abs=0.01)
+        p_cpu = plant.power_model.power(0.8)
+        case = 22.0 + case_resistance(plant) * (p_cpu + plant.fans.power_w())
+        assert plant.case_temperature_c == pytest.approx(case, abs=0.01)
 
     def test_cpu_hotter_than_case_under_cpu_load(self):
-        net = two_lump_chain()
-        for _ in range(2000):
-            net.step(1.0, {"cpu": 100.0}, 22.0)
-        assert net.temperature("cpu") > net.temperature("case") > 22.0
+        plant = two_lump_chain()
+        plant.advance(2000.0, utilization=0.8, ambient_c=22.0)
+        assert plant.cpu_temperature_c > plant.case_temperature_c > 22.0
 
     def test_retuning_edge_changes_steady_state(self):
-        net = two_lump_chain()
-        before = net.steady_state({"cpu": 100.0}, 22.0)["cpu"]
-        net.set_edge_resistance("cpu", "case", 0.36)
-        after = net.steady_state({"cpu": 100.0}, 22.0)["cpu"]
-        assert after > before
+        # A larger die resistance widens only the CPU–case gap.
+        base = two_lump_chain()
+        stiff = two_lump_chain(config=ThermalConfig(cpu_to_case_resistance_k_per_w=0.36))
+        p_cpu = base.power_model.power(0.6)
+        before = base.steady_state_cpu_temperature(0.6, 22.0)
+        after = stiff.steady_state_cpu_temperature(0.6, 22.0)
+        assert after - before == pytest.approx((0.36 - 0.18) * p_cpu, rel=1e-9)
+        for plant in (base, stiff):
+            plant.advance(8000.0, utilization=0.6, ambient_c=22.0)
+        assert stiff.case_temperature_c == pytest.approx(base.case_temperature_c, abs=1e-3)
 
     def test_retuning_ambient_resistance_changes_steady_state(self):
-        net = two_lump_chain()
-        before = net.steady_state({"cpu": 100.0}, 22.0)["cpu"]
-        net.set_ambient_resistance("case", 0.12)
-        after = net.steady_state({"cpu": 100.0}, 22.0)["cpu"]
-        assert after == pytest.approx(before + 100.0 * 0.06)
+        # A fan retune rescales R_case; the steady state follows the series
+        # formula at the new resistance and fan power.
+        plant = two_lump_chain()
+        before = plant.steady_state_cpu_temperature(0.6, 22.0)
+        plant.set_fans(FanBank(count=2, speed=0.5))
+        after = plant.steady_state_cpu_temperature(0.6, 22.0)
+        assert after > before
+        p_cpu = plant.power_model.power(0.6)
+        expected = (
+            22.0
+            + case_resistance(plant) * (p_cpu + plant.fans.power_w())
+            + plant.config.cpu_to_case_resistance_k_per_w * p_cpu
+        )
+        assert after == pytest.approx(expected, abs=1e-9)
 
 
 class TestValidation:
-    def test_duplicate_node_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RcNetwork(nodes=[ThermalNode("a", 1.0), ThermalNode("a", 2.0)])
-
-    def test_self_edge_rejected(self):
-        net = RcNetwork(nodes=[ThermalNode("a", 1.0, ambient_resistance_k_per_w=1.0)])
-        with pytest.raises(ConfigurationError):
-            net.connect("a", "a", 1.0)
-
-    def test_unknown_node_rejected(self):
-        net = single_lump()
-        with pytest.raises(SimulationError):
-            net.temperature("nope")
-
     def test_nonpositive_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThermalNode("a", 0.0)
+        for field in ("cpu_heat_capacity_j_per_k", "case_heat_capacity_j_per_k"):
+            for value in (0.0, -150.0):
+                with pytest.raises(ConfigurationError):
+                    ThermalConfig(**{field: value})
 
     def test_nonpositive_step_rejected(self):
-        net = single_lump()
-        with pytest.raises(SimulationError):
-            net.step(0.0, {}, 20.0)
-
-    def test_steady_state_without_ambient_path_rejected(self):
-        net = RcNetwork(nodes=[ThermalNode("a", 1.0)])
-        with pytest.raises(SimulationError):
-            net.steady_state({"a": 1.0}, 20.0)
-
-    def test_retune_missing_edge_rejected(self):
-        net = two_lump_chain()
-        net.add_node(ThermalNode("extra", 10.0))
-        with pytest.raises(SimulationError):
-            net.set_edge_resistance("cpu", "extra", 0.5)
+        # The solver step of advance() is validated with the constants.
+        with pytest.raises(ConfigurationError):
+            ThermalConfig(time_step_s=0.0)
+        with pytest.raises(ConfigurationError):
+            two_lump_chain().config.with_(time_step_s=-1.0)
