@@ -83,15 +83,21 @@ def matured_forecast_errors(telemetry, names, time_s: float) -> MaturedErrors:
 
     The control tick computes this once; the ledger row and the drift
     monitor's per-class rows both aggregate the result (see
-    :meth:`MaturedErrors.mean`).
+    :meth:`MaturedErrors.mean`). The forecasts and the measured values
+    at their targets are read from the telemetry blocks with array
+    operations. Parity: repro.control.ledger.forecast_error_at
     """
+    targets, predicted, has_forecast = telemetry.latest_forecasts(names, time_s)
     errors = np.zeros(len(names))
     scored = np.zeros(len(names), dtype=bool)
-    for i, name in enumerate(names):
-        error = _matured_error(telemetry.for_server(name), time_s)
-        if error is not None:
-            errors[i] = error
-            scored[i] = True
+    idx = np.flatnonzero(has_forecast)
+    if idx.size:
+        actual, measured = telemetry.values_at(
+            "cpu_temperature", [names[i] for i in idx.tolist()], targets[idx]
+        )
+        idx = idx[measured]
+        errors[idx] = np.abs(predicted[idx] - actual[measured])
+        scored[idx] = True
     return MaturedErrors(errors, scored)
 
 

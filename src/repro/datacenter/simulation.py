@@ -55,6 +55,7 @@ reach a thermal operating point before the measured part of a scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -141,36 +142,11 @@ class _SoaFleet:
     engine: FleetThermalEngine
     load: FleetLoadView
     sensor_bank: SensorBank
-    #: Snapshot of the server names at build time. Must NOT alias
-    #: ``fs.server_names`` (which grows in place): the telemetry
-    #: collector keys its pending fleet columns on list identity.
-    names: list[str]
     membership_gen: int
-
-    def __post_init__(self) -> None:
-        # Telemetry requires freshly-identified column arrays per flush
-        # cycle ("replace, don't mutate"), but the fleet-state arrays
-        # mutate in place — so emitted columns are copies, cached and
-        # re-buffered unchanged until the generation counter moves.
-        self._emit_gen = -1
-        self._vm_counts = None
-        self._fan_counts = None
-        self._fan_speeds = None
 
     def sync(self) -> None:
         """Write sensor schedules back (array state needs no writeback)."""
         self.sensor_bank.writeback()
-
-    def emit_columns(self):
-        """(vm_counts, fan_counts, fan_speeds) telemetry columns."""
-        fs = self.fs
-        if fs.generation != self._emit_gen:
-            n = len(self.names)
-            self._vm_counts = fs.n_running[:n].astype(float)
-            self._fan_counts = fs.fan_count[:n].copy()
-            self._fan_speeds = fs.fan_speed[:n].copy()
-            self._emit_gen = fs.generation
-        return self._vm_counts, self._fan_counts, self._fan_speeds
 
 
 class DatacenterSimulation:
@@ -266,13 +242,14 @@ class DatacenterSimulation:
         self._fire_due_events()
         if self.use_fleet_engine:
             self._fleet_rebuild()
+        if self._recording:
+            self.telemetry.reserve_steps(math.ceil(duration_s / self.time_step_s))
         try:
             while self.time_s < end_time - 1e-9:
                 self._step(min(self.time_step_s, end_time - self.time_s))
         finally:
             if self._fleet is not None:
                 self._fleet.sync()
-                self.telemetry.flush()
                 self._fleet = None
 
     def _step(self, dt: float) -> None:
@@ -323,13 +300,11 @@ class DatacenterSimulation:
             self._fleet = None
         if not eligible:
             return
-        names = list(fs.server_names)
         self._fleet = _SoaFleet(
             fs=fs,
             engine=FleetThermalEngine(fs),
             load=FleetLoadView(fs),
-            sensor_bank=SensorBank([self.sensor_for(name) for name in names]),
-            names=names,
+            sensor_bank=SensorBank([self.sensor_for(name) for name in fs.server_names]),
             membership_gen=fs.membership_generation,
         )
 
@@ -343,6 +318,9 @@ class DatacenterSimulation:
             self.telemetry.record_environment(new_time, ambient)
         utilization: list[float] = []
         cpu_c: list[float] = []
+        vm_counts: list[int] = []
+        fan_counts: list[int] = []
+        fan_speeds: list[float] = []
         sampled: list[int] = []
         samples_c: list[float] = []
         for slot, server in enumerate(self.cluster.servers):
@@ -352,23 +330,35 @@ class DatacenterSimulation:
             cpu_c.append(true_c)
             if not recording:
                 continue
-            bundle = self.telemetry.for_server(server.name)
-            bundle.utilization.append(new_time, load.utilization)
-            bundle.vm_count.append(new_time, len(server.running_vms()))
-            bundle.fan_count.append(new_time, server.fans.count)
-            bundle.fan_speed.append(new_time, server.fans.speed)
+            vm_counts.append(len(server.running_vms()))
+            fan_counts.append(server.fans.count)
+            fan_speeds.append(server.fans.speed)
             value = self.sensor_for(server.name).maybe_sample(new_time, true_c)
             if value is not None:
-                bundle.cpu_temperature.append(new_time, value)
                 sampled.append(slot)
                 samples_c.append(value)
-        self.step_columns = StepColumns(
+        columns = StepColumns(
             new_time,
             np.array(sampled, dtype=np.intp),
             np.array(samples_c, dtype=float),
             np.array(utilization, dtype=float),
             np.array(cpu_c, dtype=float),
         )
+        self.step_columns = columns
+        if recording:
+            names = self.cluster.fleet_state.server_names
+            self.telemetry.record_fleet_step(
+                new_time,
+                names,
+                columns.utilization,
+                np.array(vm_counts, dtype=float),
+                np.array(fan_counts, dtype=float),
+                np.array(fan_speeds, dtype=float),
+            )
+            if sampled:
+                self.telemetry.record_fleet_cpu_samples(
+                    new_time, names, columns.samples_c, columns.sampled
+                )
         for probe in self._probes:
             probe(self, new_time)
 
@@ -394,17 +384,22 @@ class DatacenterSimulation:
         cpu_c = fleet.engine.cpu_temperatures_view()
         due, values = _NO_SLOTS, _NO_VALUES
         if recording:
-            vm_counts, fan_counts, fan_speeds = fleet.emit_columns()
+            # The view is rebuilt on every membership change, so the live
+            # names list matches its slots; probes key forecasts on it too.
+            fs = fleet.fs
+            names = fs.server_names
+            n = len(names)
             telemetry.record_fleet_step(
-                new_time, fleet.names, utilization, vm_counts, fan_counts, fan_speeds
+                new_time,
+                names,
+                utilization,
+                fs.n_running[:n],
+                fs.fan_count[:n],
+                fs.fan_speed[:n],
             )
-            names = fleet.names
             due, values = fleet.sensor_bank.sample_due(new_time, cpu_c)
-            if due.size == len(names):
-                telemetry.record_fleet_cpu_samples(new_time, names, values)
-            else:
-                for idx, value in zip(due.tolist(), values.tolist()):
-                    telemetry.append_cpu_sample(names[idx], new_time, value)
+            if due.size:
+                telemetry.record_fleet_cpu_samples(new_time, names, values, due)
         self.step_columns = StepColumns(new_time, due, values, utilization, cpu_c)
 
         if self._probes:

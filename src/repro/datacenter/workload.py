@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -134,13 +135,9 @@ class BurstyTask(Task):
 
     def utilization(self, time_s: float) -> float:
         self._extend_to(time_s)
-        # Find the active interval; len(switches) is small (~duration/mean).
-        index = 0
-        for i, start in enumerate(self._switches):
-            if start <= time_s:
-                index = i
-            else:
-                break
+        # The active interval starts at the last switch <= time_s
+        # (switches[0] is 0.0; an earlier or NaN time falls in the first).
+        index = bisect_right(self._switches, time_s) - 1 if time_s >= 0.0 else 0
         on = index % 2 == 1
         return self.on_level if on else self.off_level
 

@@ -133,7 +133,6 @@ class RetrainPlanner:
                 ),
             )
         telemetry = sim.telemetry
-        telemetry.flush()
         t0 = max(0.0, time_s - config.window_s)
         env_mean = sim.environment.mean_over(t0, time_s)
         names = fleet.names
@@ -158,21 +157,24 @@ class RetrainPlanner:
                 continue
             kept: list[str] = []
             records: list[ExperimentRecord] = []
-            for name in members:
-                bundle = telemetry.for_server(name)
-                window = bundle.cpu_temperature.window(t0, time_s + 1e-9)
-                if len(window) < config.min_samples:
+            cpu = telemetry.window_stats(
+                "cpu_temperature", members, t0, time_s + 1e-9
+            )
+            if config.require_stable_vm_set:
+                counts = telemetry.window_stats(
+                    "vm_count", members, t0, time_s + 1e-9
+                )
+            for i, name in enumerate(members):
+                if cpu.counts[i] < config.min_samples:
                     continue
                 if config.require_stable_vm_set:
                     if name in retargeted_in_window:
                         continue  # VM-set change inside the window
-                    counts = bundle.vm_count.window(t0, time_s + 1e-9)
-                    values = counts.values_array()
-                    if values.size and values.min() != values.max():
+                    if counts.counts[i] and counts.lows[i] != counts.highs[i]:
                         continue  # VM churn inside the window: label unsafe
                 server = sim.cluster.server(name)
                 record = record_for_server(server, env_mean).with_output(
-                    window.mean()
+                    float(cpu.means[i])
                 )
                 record.metadata["retrain_window_s"] = config.window_s
                 record.metadata["retrain_time_s"] = time_s

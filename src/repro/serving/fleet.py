@@ -47,7 +47,6 @@ import numpy as np
 from repro.config import PredictionConfig
 from repro.core.monitor import record_for_server
 from repro.core.records import ExperimentRecord
-from repro.datacenter.telemetry import TimeSeries
 from repro.errors import ServingError
 from repro.management.hotspot import Hotspot, HotspotDetector
 from repro.serving.batch import PredictionRequest, predict_batch
@@ -445,12 +444,10 @@ class FleetPredictionProbe:
         self._key_fn: ModelKeyFn = key_fn or (lambda server: DEFAULT_KEY)
         # Per fleet-state slot, grown with the cluster: whether the slot
         # is watched, its fleet index (-1 until its first sample tracks
-        # it), its server generation at the last VM-set derivation, and
-        # the telemetry series its forecasts go to.
+        # it), and its server generation at the last VM-set derivation.
         self._watched = np.zeros(0, dtype=bool)
         self._fleet_index = np.zeros(0, dtype=np.intp)
         self._generation = np.zeros(0, dtype=np.int64)
-        self._predicted: list[TimeSeries | None] = []
         self._vm_sets: dict[int, frozenset[str]] = {}
 
     def attach(self, sim) -> None:
@@ -459,7 +456,7 @@ class FleetPredictionProbe:
 
     def _grow(self, fs) -> None:
         """Extend the per-slot state to servers registered since last step."""
-        names = fs.server_names[len(self._predicted):]
+        names = fs.server_names[self._watched.shape[0]:]
         server_filter = self._server_filter
         watched = [server_filter is None or name in server_filter for name in names]
         self._watched = np.concatenate([self._watched, np.array(watched, dtype=bool)])
@@ -469,14 +466,13 @@ class FleetPredictionProbe:
         self._generation = np.concatenate(
             [self._generation, np.zeros(len(names), dtype=np.int64)]
         )
-        self._predicted.extend([None] * len(names))
 
     def _on_step(self, sim, time_s: float) -> None:
         columns = sim.step_columns
         if columns is None or columns.sampled.size == 0:
             return
         fs = sim.cluster.fleet_state
-        if len(self._predicted) < fs.n_servers:
+        if self._watched.shape[0] < fs.n_servers:
             self._grow(fs)
         slots = columns.sampled
         values = columns.samples_c
@@ -490,7 +486,7 @@ class FleetPredictionProbe:
 
         new = self._fleet_index[slots] < 0
         if new.any():
-            self._track(sim, fs, slots[new], times[new], values[new], environment_c)
+            self._track(fs, slots[new], times[new], values[new], environment_c)
         generation = fs.server_generation[slots]
         moved = np.flatnonzero(generation != self._generation[slots])
         if moved.size:
@@ -507,13 +503,11 @@ class FleetPredictionProbe:
         indices = self._fleet_index[slots]
         fleet.observe(times, values, indices)
         targets, predicted = fleet.predict_ahead(times, indices)
-        series = self._predicted
-        for slot, target, value in zip(
-            slots.tolist(), targets.tolist(), predicted.tolist()
-        ):
-            series[slot].append(target, value)
+        sim.telemetry.record_fleet_forecasts(
+            float(targets[0]), fs.server_names, predicted, slots
+        )
 
-    def _track(self, sim, fs, slots, times, values, environment_c) -> None:
+    def _track(self, fs, slots, times, values, environment_c) -> None:
         """Seed curves for first-sampled servers (one batched ψ_stable query)."""
         servers = [fs.server_objects[slot] for slot in slots.tolist()]
         names = [server.name for server in servers]
@@ -526,11 +520,8 @@ class FleetPredictionProbe:
         )
         self._fleet_index[slots] = self.fleet.indices(names)
         self._generation[slots] = fs.server_generation[slots]
-        telemetry = sim.telemetry
         for slot, server in zip(slots.tolist(), servers):
             self._vm_sets[slot] = frozenset(server.vms)
-            bundle = telemetry.for_server(server.name)
-            self._predicted[slot] = bundle.predicted_cpu_temperature
 
     def _retarget(self, fs, slots, generation, times, values, environment_c) -> None:
         """Re-anchor servers whose VM set changed since their last sample.

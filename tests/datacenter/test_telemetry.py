@@ -170,6 +170,7 @@ class TestFleetColumns:
             )
 
     def test_columns_flushed_on_read(self):
+        """There is no flush: reads see each recorded row in place."""
         collector = TelemetryCollector()
         names = ["a", "b"]
         self._record(collector, [1.0, 2.0, 3.0], names)
@@ -177,8 +178,13 @@ class TestFleetColumns:
         assert bundle.utilization.times == [1.0, 2.0, 3.0]
         assert bundle.utilization.values == pytest.approx([0.1, 0.2, 0.3])
         assert collector.for_server("b").vm_count.values == [2.0, 2.0, 2.0]
+        # One block holds every server's rows; the bundles own no arrays.
+        (block,) = collector.blocks
+        assert block.steps.size == 3
+        assert bundle.utilization.nbytes == 0
 
     def test_server_names_flushes(self):
+        """Recorded servers are listed without a flush."""
         collector = TelemetryCollector()
         self._record(collector, [1.0], ["a", "b"])
         assert collector.server_names == ["a", "b"]
@@ -197,25 +203,48 @@ class TestFleetColumns:
         assert cpu.values == [60.0, 61.0]
 
     def test_membership_change_forces_flush_boundary(self):
+        """A membership change opens a new block; series span both."""
         collector = TelemetryCollector()
         self._record(collector, [1.0], ["a", "b"])
         self._record(collector, [2.0], ["a", "c"])
+        assert len(collector.blocks) == 2
         assert collector.for_server("b").utilization.times == [1.0]
         assert collector.for_server("c").utilization.times == [2.0]
         assert collector.for_server("a").utilization.times == [1.0, 2.0]
+        assert collector.for_server("a").utilization.last() == (2.0, pytest.approx(0.1))
 
     def test_mixed_direct_append_and_columns(self):
+        """Hand-built samples, full rows and partially sampled rows stay
+        in time order per server."""
         import numpy as np
 
         collector = TelemetryCollector()
-        names = ["a"]
-        self._record(collector, [1.0], names)
-        collector.record_fleet_cpu_samples(1.0, names, np.array([50.0]))
-        # A direct append (partial-due fallback) must not reorder behind
-        # buffered columns.
-        collector.append_cpu_sample("a", 2.0, 51.0)
-        self._record(collector, [3.0], names)
-        collector.record_fleet_cpu_samples(3.0, names, np.array([52.0]))
-        cpu = collector.for_server("a").cpu_temperature
-        assert cpu.times == [1.0, 2.0, 3.0]
-        assert cpu.values == [50.0, 51.0, 52.0]
+        names = ["a", "b", "c"]
+        collector.for_server("a").cpu_temperature.append(0.5, 49.0)
+        collector.record_fleet_cpu_samples(1.0, names, np.array([50.0, 60.0, 70.0]))
+        # Only "b" samples at 2 s, then "a" and "c" at 3 s.
+        collector.record_fleet_cpu_samples(2.0, names, np.array([61.0]), np.array([1]))
+        collector.record_fleet_cpu_samples(
+            3.0, names, np.array([52.0, 72.0]), np.array([0, 2])
+        )
+        a = collector.for_server("a").cpu_temperature
+        b = collector.for_server("b").cpu_temperature
+        assert (a.times, a.values) == ([0.5, 1.0, 3.0], [49.0, 50.0, 52.0])
+        assert (b.times, b.values) == ([1.0, 2.0], [60.0, 61.0])
+        assert len(a) == 3 and a.last() == (3.0, 52.0)
+        assert len(b) == 2 and b.last() == (2.0, 61.0)
+
+    def test_non_monotonic_row_rejected(self):
+        collector = TelemetryCollector()
+        self._record(collector, [2.0], ["a"])
+        with pytest.raises(TelemetryError):
+            self._record(collector, [1.0], ["a"])
+        # A new membership may not start before what its servers hold.
+        with pytest.raises(TelemetryError):
+            self._record(collector, [1.5], ["a", "b"])
+
+    def test_hand_append_after_recording_rejected(self):
+        collector = TelemetryCollector()
+        self._record(collector, [1.0], ["a"])
+        with pytest.raises(TelemetryError):
+            collector.for_server("a").utilization.append(2.0, 0.5)
