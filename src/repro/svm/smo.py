@@ -14,8 +14,14 @@ and clips to the box. Convergence is declared when the KKT violation gap
 ``m(a) − M(a)`` drops below ``tol``.
 
 Every solve starts cold from ``β = 0``. :func:`solve_svr_dual_batch`
-advances many independent problems in lockstep, each bit-identical to
-solving it alone with :func:`solve_svr_dual`.
+advances many independent problems in lockstep on one (B, 2, m) dual
+state — each problem's α half stacked on its α* half — and each problem
+stays bit-identical to solving it alone with :func:`solve_svr_dual`:
+the batch only adds padding, elementwise ops, argmaxes and exact mins,
+and its flattened α-first layout breaks ties as the scalar loop does.
+Both entry points reject non-finite inputs (Gram entries, targets, C,
+ε, tol) with :class:`~repro.errors.ConfigurationError`; left in, a NaN
+target would come back as a "converged" solve with a NaN bias.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ def solve_svr_dual(
 ) -> SmoResult:
     """Run SMO on a precomputed Gram matrix.
 
+    Every input must be finite: NaN or ±inf raises
+    :class:`~repro.errors.ConfigurationError`.
+
     Parameters
     ----------
     kernel_matrix:
@@ -99,21 +108,17 @@ def solve_svr_dual(
         raise ConfigurationError(
             f"kernel matrix shape {k.shape} does not match {n} targets"
         )
+    _require_finite("kernel matrix", k)
+    _require_finite("targets", y)
+    _require_finite("C", c)
     if c <= 0:
         raise ConfigurationError(f"C must be > 0, got {c}")
+    _require_finite("epsilon", epsilon)
     if epsilon < 0:
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
-    if on_no_convergence not in ("warn", "raise", "ignore"):
-        raise ConfigurationError(
-            f"on_no_convergence must be 'warn', 'raise' or 'ignore', "
-            f"got {on_no_convergence!r}"
-        )
+    _check_options(tol, max_iter, on_no_convergence)
     if n == 0:
-        return SmoResult(
-            beta=np.zeros(0), bias=0.0, iterations=0, kkt_gap=0.0, converged=True
-        )
+        return _empty_result()
 
     alpha_plus = np.zeros(n)
     alpha_minus = np.zeros(n)
@@ -142,6 +147,30 @@ def solve_svr_dual(
         iterations=iterations,
         kkt_gap=float(gap),
         converged=converged,
+    )
+
+
+def _require_finite(name: str, values) -> None:
+    """Reject NaN or ±inf: SMO would report them as a converged solve."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{name} must be finite")
+
+
+def _check_options(tol: float, max_iter: int, on_no_convergence: str) -> None:
+    _require_finite("tol", tol)
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
+    if on_no_convergence not in ("warn", "raise", "ignore"):
+        raise ConfigurationError(
+            f"on_no_convergence must be 'warn', 'raise' or 'ignore', "
+            f"got {on_no_convergence!r}"
+        )
+
+
+def _empty_result() -> SmoResult:
+    """The solution of a problem with no training points."""
+    return SmoResult(
+        beta=np.zeros(0), bias=0.0, iterations=0, kkt_gap=0.0, converged=True
     )
 
 
@@ -260,11 +289,27 @@ def _smo_loop(
     return iterations, gap, converged
 
 
+#: Per entry of the touched pair (i, j): whether it rises when it sits in
+#: the α half. a_i moves by +z_i·t and a_j by −z_j·t, with z = +1 in the
+#: α half, so i rises as an α and j as an α*.
+_RISES_IN_ALPHA = np.array([True, False])
+
 #: Batch rows at or below this width finish on the scalar loop instead.
-#: A lockstep step costs ~6–10 scalar iterations in NumPy dispatch
-#: overhead, so the batch only pays off while enough problems share it;
-#: below this width the stragglers finish faster one at a time.
-_HANDOFF_WIDTH = 8
+#: A lockstep step costs about 1.3 scalar iterations at 1–2 rows (~100
+#: against ~75 µs on a 2-core host), so two problems already share a
+#: step more cheaply than they run one at a time, and only the last one
+#: is handed off. Measured there as the median of 5 rounds over widths
+#: in rotating order, total solve time of: the drift retrain calls of
+#: ``drift_lifecycle`` instances 100, 101 and 103 (6–18 problems,
+#: n = 25–35), the 96-problem lifecycle-floor round of
+#: ``benchmarks/test_lifecycle.py`` (n = 48/60) and the 160-problem
+#: serve grid (n ≈ 102):
+#:
+#:   width           1      2      3      4      8
+#:   drift retrain   1.64   1.64   1.75   1.97   4.01 s
+#:   lifecycle floor 0.383  0.389  0.399  0.406  0.510 s
+#:   serve grid      1.31   1.34   1.35   1.56   2.57 s
+_HANDOFF_WIDTH = 1
 
 
 def solve_svr_dual_batch(
@@ -279,22 +324,35 @@ def solve_svr_dual_batch(
     """Solve many independent ε-SVR duals in lockstep.
 
     Cross-validation folds and per-server-class refits are many small,
-    *independent* SMO problems that share (C, ε). Solved one at a time,
-    each SMO iteration costs ~20 NumPy dispatches on tiny arrays — pure
-    interpreter overhead. This routine stacks the problems as rows of
-    (B, m) arrays (ragged sizes are padded with inert columns) and runs
-    the working-set selection, subproblem solve and ``u`` update for all
-    *active* problems per step, so a 10-fold CV point costs roughly the
-    *longest* fold's iterations rather than the sum.
+    *independent* SMO problems. Solved one at a time, each SMO iteration
+    costs ~20 NumPy dispatches on tiny arrays — pure interpreter
+    overhead. This routine stacks the problems into one (B, 2, m) dual
+    state — row b holds problem b's α half on top of its α* half, and
+    ragged sizes are padded with inert columns — and runs the working-set
+    selection, subproblem solve and ``u`` update for all *active*
+    problems per step, so a 10-fold CV point costs roughly the *longest*
+    fold's iterations rather than the sum.
 
-    Every per-problem operation is elementwise, a row-wise argmax, or an
-    exact min — none of them re-associate floating-point sums — so each
-    problem's iterate trajectory is **bit-identical** to running
+    One step scores both halves with one expression (``r − (−ε)`` is
+    ``r + ε`` bit for bit), picks ``i`` with one argmax, ``M`` with one
+    argmin and ``j`` with one argmax over the WSS2 objective, each on the
+    flattened (B, 2m) view, moves the touched pair with one stacked
+    update and refreshes the two bound masks there.
+
+    Each problem's iterate trajectory is **bit-identical** to running
     :func:`solve_svr_dual` on it alone (enforced by
-    ``tests/svm/test_smo_batch.py``). Problems that converge, get stuck,
-    or exhaust the budget drop out of the lockstep individually; the
-    surviving rows are periodically compacted so one straggler does not
-    pay the whole batch's width.
+    ``tests/svm/test_smo_batch.py`` and pinned by
+    ``tests/svm/test_smo_pin.py``). Every per-problem operation is
+    elementwise, an argmax or an exact min — none re-associates a
+    floating-point sum — and the flattened view keeps the scalar's tie
+    rule: the α half comes first, so a first-occurrence argmax picks it
+    on a tie exactly as the scalar's ``>=`` between the two halves does,
+    and a min over both halves is the smaller of the two halves' mins.
+    Inputs are required to be finite, so no NaN can make the two rules
+    differ. Problems that converge, get stuck, or exhaust the budget drop
+    out of the lockstep individually; the surviving rows are periodically
+    compacted so one straggler does not pay the whole batch's width, and
+    the last ``_HANDOFF_WIDTH`` finish on the scalar loop.
 
     Parameters mirror :func:`solve_svr_dual`; ``c`` and ``epsilon`` may
     be per-problem sequences (a grid search batches *every*
@@ -313,6 +371,7 @@ def solve_svr_dual_batch(
         raise ConfigurationError(
             f"{n_problems} kernel matrices but C has shape {cs.shape}"
         )
+    _require_finite("C", cs)
     if np.any(cs <= 0):
         raise ConfigurationError(f"C must be > 0, got {c}")
     epsilons = np.asarray(epsilon, dtype=float)
@@ -323,15 +382,10 @@ def solve_svr_dual_batch(
             f"{n_problems} kernel matrices but epsilon has shape "
             f"{epsilons.shape}"
         )
+    _require_finite("epsilon", epsilons)
     if np.any(epsilons < 0):
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
-    if on_no_convergence not in ("warn", "raise", "ignore"):
-        raise ConfigurationError(
-            f"on_no_convergence must be 'warn', 'raise' or 'ignore', "
-            f"got {on_no_convergence!r}"
-        )
+    _check_options(tol, max_iter, on_no_convergence)
     kernels = [np.asarray(k, dtype=float) for k in kernel_matrices]
     ys = [np.asarray(y, dtype=float) for y in targets]
     sizes = []
@@ -342,19 +396,15 @@ def solve_svr_dual_batch(
                 f"problem {b}: kernel matrix shape {k.shape} does not match "
                 f"{n} targets"
             )
+        _require_finite(f"problem {b}: kernel matrix", k)
+        _require_finite(f"problem {b}: targets", y)
         sizes.append(n)
     if n_problems == 0:
         return []
 
     m = max(sizes)
     if m == 0:
-        return [
-            SmoResult(
-                beta=np.zeros(0), bias=0.0, iterations=0, kkt_gap=0.0,
-                converged=True,
-            )
-            for _ in range(n_problems)
-        ]
+        return [_empty_result() for _ in range(n_problems)]
 
     big_k = np.zeros((n_problems, m, m))
     big_y = np.zeros((n_problems, m))
@@ -363,254 +413,207 @@ def solve_svr_dual_batch(
         big_k[b, :n, :n] = k
         big_y[b, :n] = y
         valid[b, :n] = True
-    alpha_plus = np.zeros((n_problems, m))
-    alpha_minus = np.zeros((n_problems, m))
-    u = np.zeros((n_problems, m))
-    diag = np.ascontiguousarray(
-        big_k[:, np.arange(m), np.arange(m)]
-    )
+    diag = np.ascontiguousarray(big_k[:, np.arange(m), np.arange(m)])
     diag[~valid] = 1.0  # keeps padded η positive; padded pairs are never picked
-    eps_col = epsilons[:, None].copy()  # (B, 1), broadcast per problem
-    c_row = cs.copy()                   # (B,), per-problem box constraint
-    c_col = c_row[:, None]
+    # The dual state a = [α; α*] per problem, and u = Kβ.
+    a = np.zeros((n_problems, 2, m))
+    u = np.zeros((n_problems, m))
+    eps_pm = np.stack((epsilons, -epsilons), axis=1)[:, :, None]  # (B, 2, 1)
+    c_col = cs[:, None].copy()
     neg_inf = -np.inf
 
-    # Per-problem outcome state, indexed by original problem id.
+    # Bound-set masks at a = 0, then maintained incrementally: each step
+    # touches two entries per row, so recomputing the comparisons over
+    # (B, 2, m) every step would be the largest cost of the loop. The up
+    # set is {α < C} ∪ {α* > 0}, the low set {α > 0} ∪ {α* < C}.
+    can_up = np.zeros((n_problems, 2, m), dtype=bool)
+    can_up[:, 0] = valid
+    can_lo = np.zeros((n_problems, 2, m), dtype=bool)
+    can_lo[:, 1] = valid
+
+    # Per-problem outcome, indexed by original problem id, and the final
+    # (α, α*, u) of every problem, stashed when its row is compacted away
+    # and for every row left at loop exit.
     final_iters = np.zeros(n_problems, dtype=np.int64)
-    final_gaps = np.full(n_problems, np.inf)
+    final_gaps = np.zeros(n_problems)
     final_conv = np.zeros(n_problems, dtype=bool)
-    # Final (α, α*, u) per finished problem; populated when a row is
-    # compacted out of the batch and for every row left at loop exit.
     state: "dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]" = {}
-    # `live` maps current batch rows to original problem ids; rows are
-    # compacted away as problems finish.
+    # `live` maps current batch rows to original problem ids.
     live = np.arange(n_problems)
-
-    # Bound-set masks, maintained incrementally: each step touches two
-    # dual variables per row, so recomputing four (B, m) comparisons per
-    # step would be the single largest cost of the loop.
-    can_up_p = valid & (alpha_plus < c_col)
-    can_up_m = alpha_minus > 0
-    can_lo_p = alpha_plus > 0
-    can_lo_m = valid & (alpha_minus < c_col)
-
-    # Per-row bookkeeping aligned with `live` (synced into the final_*
-    # arrays when rows leave the batch), avoiding per-step fancy writes
-    # into the problem-indexed arrays.
-    iters_live = np.zeros(n_problems, dtype=np.int64)
-    gaps_live = np.full(n_problems, np.inf)
-
-    def _sync(row_mask: np.ndarray) -> None:
-        final_iters[live[row_mask]] = iters_live[row_mask]
-        final_gaps[live[row_mask]] = gaps_live[row_mask]
-
-    def _compact(finished: np.ndarray) -> bool:
-        """Drop finished rows once a quarter of the batch has finished
-        (i.e. at most three quarters survive); stash their state.
-
-        Finished rows are frozen (their updates are masked to zero), so
-        compaction is purely a width optimization — one straggler fold
-        should not drag the whole batch's row count along. Returns
-        whether a compaction happened.
-        """
-        nonlocal live, big_k, big_y, valid, alpha_plus, alpha_minus, u, diag
-        nonlocal eps_col, c_row, c_col, can_up_p, can_up_m, can_lo_p, can_lo_m
-        nonlocal iters_live, gaps_live
-        keep = ~finished
-        if keep.sum() > (3 * live.shape[0]) // 4:
-            return False
-        for row in np.flatnonzero(finished):
-            state[int(live[row])] = (
-                alpha_plus[row].copy(), alpha_minus[row].copy(), u[row].copy()
-            )
-        _sync(finished)
-        live = live[keep]
-        big_k = np.ascontiguousarray(big_k[keep])
-        big_y = big_y[keep]
-        valid = valid[keep]
-        alpha_plus = alpha_plus[keep]
-        alpha_minus = alpha_minus[keep]
-        u = u[keep]
-        diag = diag[keep]
-        eps_col = eps_col[keep]
-        c_row = c_row[keep]
-        c_col = c_row[:, None]
-        can_up_p = can_up_p[keep]
-        can_up_m = can_up_m[keep]
-        can_lo_p = can_lo_p[keep]
-        can_lo_m = can_lo_m[keep]
-        iters_live = iters_live[keep]
-        gaps_live = gaps_live[keep]
-        return True
-
-    # Zero-size problems are solved by construction (the scalar solver
-    # returns the trivial result); keep them out of the lockstep so the
-    # straggler hand-off never sees an empty problem.
+    # Zero-size problems are solved by construction; keep them out of the
+    # lockstep so the straggler hand-off never sees an empty problem.
     active = np.array([n > 0 for n in sizes], dtype=bool)  # aligned with `live`
-    if not active.all():
-        final_conv[~active] = True
-        final_gaps[~active] = 0.0
-        gaps_live[~active] = 0.0
-    rows = np.arange(n_problems)
+    final_conv[~active] = True
+    n_active = int(np.count_nonzero(active))
+    # Lockstep iterations so far. Every active row has taken exactly this
+    # many, so a row's iteration count is `steps` when it finishes and the
+    # budget runs out for all active rows at once.
+    steps = 0
 
+    def finish(rows_done: np.ndarray, gaps: np.ndarray, converged) -> None:
+        problems = live[rows_done]
+        final_iters[problems] = steps
+        final_gaps[problems] = gaps
+        final_conv[problems] = converged
+
+    width = n_problems
     # One errstate for the whole loop: rows that finished mid-round keep
     # flowing through the vectorized expressions with ±inf sentinels,
     # whose arithmetic (inf − inf → nan) is discarded but would warn.
     with np.errstate(invalid="ignore"):
-        while live.shape[0] and active.any():
-            # Budget check first, exactly like the scalar `while iterations
-            # < max_iter` guard: an exhausted problem keeps the gap
-            # computed at the start of its *last executed* step.
-            exhausted = active & (iters_live >= max_iter)
-            if exhausted.any():
-                active &= ~exhausted
-                if not active.any():
+        while n_active > _HANDOFF_WIDTH:
+            # Flat views of the current layout. Every gather and scatter
+            # below goes through a flat index: row offset + column.
+            flat_rows = np.arange(width) * (2 * m)
+            to_data = (
+                (np.arange(width) * m)[:, None] + np.tile(np.arange(m), 2)
+            ).reshape(-1)  # flat (B, 2m) index → flat (B, m) index
+            a_r = a.reshape(-1)
+            up_r = can_up.reshape(-1)
+            lo_r = can_lo.reshape(-1)
+            diag_r = diag.reshape(-1)
+            k_rows = big_k.reshape(width * m, m)
+            in_alpha_at = np.tile(np.arange(2 * m) < m, width)
+            pair = np.empty((width, 2), dtype=np.intp)
+            while True:
+                score = (big_y - u)[:, None, :] - eps_pm  # −z_p ∇_p, (B, 2, m)
+                up = np.where(can_up, score, neg_inf).reshape(width, 2 * m)
+                fi = flat_rows + up.argmax(axis=1)
+                m_val = up.reshape(-1)[fi]
+                low = np.where(can_lo, score, np.inf)
+                # Free (B, 2, m) temporaries as soon as they are spent, so
+                # a wide grid batch keeps few of them alive at once.
+                del score, up
+                low_r = low.reshape(-1)
+                m_at = flat_rows + low.reshape(width, 2 * m).argmin(axis=1)
+                gap = m_val - low_r[m_at]
+                # A non-finite gap (an empty index set; −inf since the
+                # scores are finite) is a solved problem, reported as 0.
+                done = active & (gap <= tol)
+                if np.count_nonzero(done):
+                    finish(done, np.where(np.isfinite(gap), gap, 0.0)[done], True)
+                    active &= ~done
+                    n_active = int(np.count_nonzero(active))
+                    if n_active <= _HANDOFF_WIDTH:
+                        break
+
+                # Second-order working-set selection (WSS2), as in `_smo_loop`.
+                di = to_data[fi]
+                k_i = k_rows.take(di, axis=0)  # row i of K, which equals column i
+                eta_all = diag_r[di][:, None] + diag
+                eta_all -= 2.0 * k_i
+                np.maximum(eta_all, 1e-12, out=eta_all)
+                diff = m_val[:, None, None] - low
+                obj = diff * diff
+                obj /= eta_all[:, None, :]
+                obj = np.where(diff > 0, obj, neg_inf).reshape(width, 2 * m)
+                del diff
+                # The touched pair as flat indices: column 0 is i, column 1 is j.
+                pair[:, 0] = fi
+                fj = pair[:, 1]
+                np.add(flat_rows, obj.argmax(axis=1), out=fj)
+                dj = to_data[fj]
+                t = (m_val - low_r[fj]) / eta_all.reshape(-1)[dj]
+
+                # Box limits. A rising entry allows t ∈ [−v, C − v], a
+                # falling one t ∈ [v − C, v]; v − C is −(C − v) exactly,
+                # and a t clipped to ±0 stops the row either way, so the
+                # sign of a zero bound never matters.
+                in_alpha = in_alpha_at[pair]
+                rises = in_alpha == _RISES_IN_ALPHA
+                v = a_r[pair]
+                room = c_col - v
+                hi = np.where(rises, room, v)
+                lo = -np.where(rises, v, room)
+                t = np.minimum(np.minimum(t, hi[:, 0]), hi[:, 1])
+                t = np.maximum(np.maximum(np.maximum(t, lo[:, 0]), lo[:, 1]), 0.0)
+                stuck = active & (t <= 0.0)
+                if np.count_nonzero(stuck):
+                    finish(stuck, gap[stuck], gap[stuck] <= 10.0 * tol)
+                    active &= ~stuck
+                    n_active = int(np.count_nonzero(active))
+                    if n_active <= _HANDOFF_WIDTH:
+                        break
+
+                # One stacked update of both entries: v + (−t) is v − t
+                # bit for bit.
+                t_col = np.where(active, t, 0.0)[:, None]
+                new = v + np.where(rises, t_col, -t_col)
+                a_r[pair] = new
+                # Gram matrices are symmetric (a documented requirement), so
+                # the row gathers equal the scalar's column reads bit for bit.
+                u += t_col * (k_i - k_rows.take(dj, axis=0))
+                steps += 1
+
+                # Refresh the bound masks at the two touched entries. A
+                # touched entry of an active row is never padding, so the
+                # valid mask is not needed; inactive rows' masks are never
+                # read again.
+                positive = new > 0
+                below_c = new < c_col
+                up_r[pair] = np.where(in_alpha, below_c, positive)
+                lo_r[pair] = np.where(in_alpha, positive, below_c)
+
+                if steps >= max_iter:
+                    finish(active, gap[active], False)
+                    active[:] = False
+                    n_active = 0
+                    break
+                if n_active <= (3 * width) // 4:
                     break
 
-            # Straggler hand-off: finish the last problem or two on the
-            # scalar loop (bit-exact — it continues from the same state).
-            if int(active.sum()) <= _HANDOFF_WIDTH:
-                for row in np.flatnonzero(active):
-                    problem = int(live[row])
-                    n = sizes[problem]
-                    ap_row = alpha_plus[row, :n]
-                    am_row = alpha_minus[row, :n]
-                    u_row = u[row, :n]
-                    done, gap_row, conv_row = _smo_loop(
-                        kernels[problem], ys[problem], float(cs[problem]),
-                        float(epsilons[problem]), tol, max_iter,
-                        ap_row, am_row, u_row,
-                        iterations=int(iters_live[row]),
+            if n_active > _HANDOFF_WIDTH:
+                # Compact once at most three quarters of the rows are
+                # active: finished rows are frozen (their updates are
+                # zero), so this only narrows the arrays one straggler
+                # would drag along.
+                for row in np.flatnonzero(~active):
+                    state[int(live[row])] = (
+                        a[row, 0].copy(), a[row, 1].copy(), u[row].copy()
                     )
-                    iters_live[row] = done
-                    gaps_live[row] = gap_row
-                    final_conv[problem] = conv_row
-                active[:] = False
-                break
+                # The Gram stack moves its kept rows forward in place: a
+                # fancy-indexed copy would hold two stacks at once.
+                for dst, src in enumerate(np.flatnonzero(active)):
+                    big_k[dst] = big_k[src]
+                big_k = big_k[:n_active]
+                live = live[active]
+                big_y = big_y[active]
+                diag = diag[active]
+                a = a[active]
+                u = u[active]
+                eps_pm = eps_pm[active]
+                c_col = c_col[active]
+                can_up = can_up[active]
+                can_lo = can_lo[active]
+                width = n_active
+                active = np.ones(width, dtype=bool)
 
-            residual = big_y - u
-            score_plus = residual - eps_col
-            score_minus = residual + eps_col
-            up_plus = np.where(can_up_p, score_plus, neg_inf)
-            up_minus = np.where(can_up_m, score_minus, neg_inf)
-            low_plus = np.where(can_lo_p, score_plus, np.inf)
-            low_minus = np.where(can_lo_m, score_minus, np.inf)
-
-            i_plus = np.argmax(up_plus, axis=1)
-            i_minus = np.argmax(up_minus, axis=1)
-            val_plus = up_plus[rows, i_plus]
-            val_minus = up_minus[rows, i_minus]
-            pick_plus = val_plus >= val_minus
-            i = np.where(pick_plus, i_plus, i_minus)
-            z_i = np.where(pick_plus, 1.0, -1.0)
-            m_val = np.where(pick_plus, val_plus, val_minus)
-
-            big_m_val = np.minimum(
-                np.min(low_plus, axis=1), np.min(low_minus, axis=1)
+        # Straggler hand-off: the scalar loop continues bit-exactly from
+        # the same state, a view into `a` and `u`.
+        for row in np.flatnonzero(active):
+            problem = int(live[row])
+            n = sizes[problem]
+            final_iters[problem], final_gaps[problem], final_conv[problem] = (
+                _smo_loop(
+                    kernels[problem], ys[problem], float(cs[problem]),
+                    float(epsilons[problem]), tol, max_iter,
+                    a[row, 0, :n], a[row, 1, :n], u[row, :n],
+                    iterations=steps,
+                )
             )
-            gap = m_val - big_m_val
-            degenerate = active & ~np.isfinite(gap)
-            if degenerate.any():
-                gaps_live[degenerate] = 0.0
-                final_conv[live[degenerate]] = True
-                active &= ~degenerate
-            gaps_live = np.where(active, gap, gaps_live)
-            converged_now = active & (gap <= tol)
-            if converged_now.any():
-                final_conv[live[converged_now]] = True
-                active &= ~converged_now
-            if not active.any():
-                break
-
-            k_row = big_k[rows, i, :]
-            eta_all = np.maximum(diag[rows, i][:, None] + diag - 2.0 * k_row, 1e-12)
-            diff_plus = m_val[:, None] - low_plus
-            diff_minus = m_val[:, None] - low_minus
-            obj_plus = np.where(
-                diff_plus > 0, diff_plus * diff_plus / eta_all, neg_inf
-            )
-            obj_minus = np.where(
-                diff_minus > 0, diff_minus * diff_minus / eta_all, neg_inf
-            )
-            j_plus = np.argmax(obj_plus, axis=1)
-            j_minus = np.argmax(obj_minus, axis=1)
-            jpick_plus = obj_plus[rows, j_plus] >= obj_minus[rows, j_minus]
-            j = np.where(jpick_plus, j_plus, j_minus)
-            z_j = np.where(jpick_plus, 1.0, -1.0)
-            j_score = np.where(
-                jpick_plus, low_plus[rows, j_plus], low_minus[rows, j_minus]
-            )
-
-            eta = eta_all[rows, j]
-            t = (m_val - j_score) / eta
-            ap_i = alpha_plus[rows, i]
-            am_i = alpha_minus[rows, i]
-            ap_j = alpha_plus[rows, j]
-            am_j = alpha_minus[rows, j]
-            t_hi_i = np.where(z_i > 0, c_row - ap_i, am_i)
-            t_lo_i = np.where(z_i > 0, -ap_i, am_i - c_row)
-            t_hi_j = np.where(z_j > 0, ap_j, c_row - am_j)
-            t_lo_j = np.where(z_j > 0, ap_j - c_row, -am_j)
-            t = np.minimum(np.minimum(t, t_hi_i), t_hi_j)
-            t = np.maximum(np.maximum(np.maximum(t, t_lo_i), t_lo_j), 0.0)
-            stuck = active & (t <= 0.0)
-            if stuck.any():
-                final_conv[live[stuck]] = gap[stuck] <= 10.0 * tol
-                active &= ~stuck
-                if not active.any():
-                    break
-
-            t_eff = np.where(active, t, 0.0)
-            d_i_plus = np.where(z_i > 0, t_eff, 0.0)
-            d_i_minus = np.where(z_i > 0, 0.0, -t_eff)
-            d_j_plus = np.where(z_j > 0, -t_eff, 0.0)
-            d_j_minus = np.where(z_j > 0, 0.0, t_eff)
-            alpha_plus[rows, i] += d_i_plus
-            alpha_minus[rows, i] += d_i_minus
-            alpha_plus[rows, j] += d_j_plus
-            alpha_minus[rows, j] += d_j_minus
-            # Gram matrices are symmetric (a documented requirement), so
-            # the column gathers K[:, :, i] equal the contiguous row
-            # gathers bit-for-bit — and k_row is already in hand.
-            u += t_eff[:, None] * (k_row - big_k[rows, j, :])
-            iters_live += active
-
-            # Refresh the bound masks at the four touched entries only.
-            for idx in (i, j):
-                ap_v = alpha_plus[rows, idx]
-                am_v = alpha_minus[rows, idx]
-                v = valid[rows, idx]
-                can_up_p[rows, idx] = v & (ap_v < c_row)
-                can_up_m[rows, idx] = am_v > 0
-                can_lo_p[rows, idx] = ap_v > 0
-                can_lo_m[rows, idx] = v & (am_v < c_row)
-
-            finished = ~active
-            if finished.any() and _compact(finished):
-                active = np.ones(live.shape[0], dtype=bool)
-                rows = np.arange(live.shape[0])
 
     # Materialize results in input order: rows still in the batch plus
     # the states stashed at compaction time.
-    _sync(np.ones(live.shape[0], dtype=bool))
     for row, problem in enumerate(live):
-        state[int(problem)] = (alpha_plus[row], alpha_minus[row], u[row])
+        state[int(problem)] = (a[row, 0], a[row, 1], u[row])
     results: "list[SmoResult]" = []
     failed: "list[int]" = []
     for b in range(n_problems):
         n = sizes[b]
         if n == 0:
-            results.append(
-                SmoResult(
-                    beta=np.zeros(0), bias=0.0, iterations=0, kkt_gap=0.0,
-                    converged=True,
-                )
-            )
+            results.append(_empty_result())
             continue
-        if b in state:
-            ap, am, ub = state[b]
-        else:
-            raise AssertionError("finished problem lost from batch state")
+        ap, am, ub = state[b]
         beta = ap[:n] - am[:n]
         bias = _compute_bias(
             ap[:n], am[:n], ys[b], ub[:n], float(cs[b]), float(epsilons[b])
@@ -620,7 +623,7 @@ def solve_svr_dual_batch(
             failed.append(b)
         results.append(
             SmoResult(
-                beta=beta.copy(),
+                beta=beta,
                 bias=bias,
                 iterations=int(final_iters[b]),
                 kkt_gap=float(final_gaps[b]),

@@ -121,6 +121,29 @@ class TestRobustness:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["kernel", "target", "c", "epsilon", "tol"])
+    def test_rejects_non_finite_inputs(self, field, bad):
+        """A NaN target once came back as ``converged=True`` after 0
+        iterations with a NaN bias, and an inf Gram entry as a finite
+        bias; every non-finite input is now a configuration error."""
+        x, y = linear_data(n=12, noise=0.1)
+        args = {
+            "kernel_matrix": RbfKernel(gamma=0.5).gram(x, x),
+            "y": y,
+            "c": 10.0,
+            "epsilon": 0.1,
+            "tol": 1e-3,
+        }
+        if field == "kernel":
+            args["kernel_matrix"][3, 5] = bad
+        elif field == "target":
+            args["y"][4] = bad
+        else:
+            args[field] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            solve_svr_dual(**args)
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ConfigurationError):
             solve_svr_dual(np.eye(3), np.zeros(4), c=1.0, epsilon=0.1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ConvergenceError
+from repro.svm import smo
 from repro.svm.kernels import RbfKernel
 from repro.svm.smo import solve_svr_dual, solve_svr_dual_batch
 
@@ -30,19 +31,24 @@ def assert_results_bitwise_equal(batch, scalars):
         assert got.kkt_gap == want.kkt_gap, f"problem {index}: kkt_gap"
 
 
+PARITY_SIZES = [
+    (30,),
+    (25, 25, 25),
+    (18, 30, 24, 7),
+    (18, 30, 24, 7, 26, 12, 21, 15, 28, 19, 23, 17),
+]
+
+
+def test_parity_cases_cover_lockstep_and_hand_off():
+    """Batches at or below ``_HANDOFF_WIDTH`` go straight to the scalar
+    loop; wider ones run the lockstep. The parity cases cover both."""
+    widths = [len(sizes) for sizes in PARITY_SIZES]
+    assert min(widths) <= smo._HANDOFF_WIDTH
+    assert max(widths) > smo._HANDOFF_WIDTH
+
+
 class TestBitwiseParity:
-    # The last case is wider than _HANDOFF_WIDTH, so the vectorized
-    # lockstep rounds actually run (small batches go straight to the
-    # scalar hand-off — identical results, different machinery).
-    @pytest.mark.parametrize(
-        "sizes",
-        [
-            (30,),
-            (25, 25, 25),
-            (18, 30, 24, 7),
-            (18, 30, 24, 7, 26, 12, 21, 15, 28, 19, 23, 17),
-        ],
-    )
+    @pytest.mark.parametrize("sizes", PARITY_SIZES)
     def test_matches_scalar_solver(self, sizes):
         problems = make_problems(sizes)
         batch = solve_svr_dual_batch(
@@ -164,6 +170,30 @@ class TestBatchInterface:
             solve_svr_dual_batch(
                 [np.eye(3)], [np.zeros(4)], c=1.0, epsilon=0.1
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["kernel", "target", "c", "epsilon", "tol"])
+    def test_rejects_non_finite_inputs(self, field, bad):
+        """One non-finite value in any problem rejects the whole batch,
+        as it would reject that problem in :func:`solve_svr_dual`."""
+        problems = make_problems((14, 11, 9), seed=6)
+        kernels = [k.copy() for k, _ in problems]
+        targets = [y.copy() for _, y in problems]
+        c = np.array([10.0, 64.0, 1.0])
+        epsilon = np.array([0.1, 0.125, 0.01])
+        tol = 1e-3
+        if field == "kernel":
+            kernels[1][2, 7] = bad
+        elif field == "target":
+            targets[2][0] = bad
+        elif field == "c":
+            c[1] = bad
+        elif field == "epsilon":
+            epsilon[2] = bad
+        else:
+            tol = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            solve_svr_dual_batch(kernels, targets, c=c, epsilon=epsilon, tol=tol)
 
     def test_rejects_zero_iteration_budget(self):
         with pytest.raises(ConfigurationError):
