@@ -31,6 +31,8 @@ calibrate against. Parity with the scalar VMM is covered by
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.datacenter.vm import RUNNING_CODES
@@ -68,22 +70,29 @@ class FleetLoadView:
         self._generic: list[tuple[int, object]] = []
 
     def _refresh(self) -> None:
+        """Re-derive the dense gather indices from the fleet state.
+
+        The per-server slot lists (dict-insertion order, a VM attached
+        mid-migration to two hosts listed under both) are flattened in
+        C, and the running slots kept.
+        """
         fs = self.fs
-        running = RUNNING_CODES
-        state_code = fs.vm_state_code
-        dense_slots: list[int] = []
-        dense_server: list[int] = []
-        generic: list[tuple[int, object]] = []
+        lists = fs.server_vm_slots
+        counts = np.fromiter(map(len, lists), np.intp, fs.n_servers)
+        placed = np.fromiter(
+            itertools.chain.from_iterable(lists), np.intp, int(counts.sum())
+        )
+        running = np.isin(fs.vm_state_code[placed], RUNNING_CODES)
+        self._dense_slots = placed[running]
+        self._dense_server = np.repeat(np.arange(fs.n_servers), counts)[running]
         generic_tasks = fs.generic_tasks
-        for s_idx in range(fs.n_servers):
-            for slot in fs.server_vm_slots[s_idx]:
-                if state_code[slot] in running:
-                    dense_slots.append(slot)
-                    dense_server.append(s_idx)
-                    for task in generic_tasks.get(slot, ()):
-                        generic.append((slot, task))
-        self._dense_slots = np.array(dense_slots, dtype=np.intp)
-        self._dense_server = np.array(dense_server, dtype=np.intp)
+        generic: list[tuple[int, object]] = []
+        if generic_tasks:
+            slots = self._dense_slots
+            with_generic = np.isin(slots, np.fromiter(generic_tasks, np.intp))
+            for slot in slots[with_generic].tolist():
+                for task in generic_tasks[slot]:
+                    generic.append((slot, task))
         self._generic = generic
         self._placement_gen = fs.placement_generation
         self._task_gen = fs.task_generation

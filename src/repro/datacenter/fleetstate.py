@@ -146,23 +146,19 @@ def _grown(array: np.ndarray, needed: int) -> np.ndarray:
     return out
 
 
-class _TaskArrays:
-    """Cached NumPy views of the slot-space task parameter lists."""
+#: Closed-form task families and their slot-space columns (the VM slot,
+#: then the task's parameters; ``ramp_span`` is ``end - start``).
+_TASK_FAMILIES = {
+    "const": ("const_vm", "const_level"),
+    "per": ("per_vm", "per_mean", "per_amp", "per_period", "per_phase"),
+    "ramp": ("ramp_vm", "ramp_start", "ramp_end", "ramp_span", "ramp_s"),
+}
 
-    __slots__ = (
-        "const_vm",
-        "const_level",
-        "per_vm",
-        "per_mean",
-        "per_amp",
-        "per_period",
-        "per_phase",
-        "ramp_vm",
-        "ramp_start",
-        "ramp_end",
-        "ramp_span",
-        "ramp_s",
-    )
+
+class _TaskArrays:
+    """Cached NumPy views of the slot-space task parameter columns."""
+
+    __slots__ = tuple(name for names in _TASK_FAMILIES.values() for name in names)
 
 
 class FleetState:
@@ -194,19 +190,15 @@ class FleetState:
         #: (``Cluster.find_vm``) then falls back to the dict scan.
         self.vm_names_unique = True
 
-        # Slot-space closed-form task parameters (appended once per VM
-        # at registration; specs are immutable).
-        self._const_vm: list[int] = []
-        self._const_level: list[float] = []
-        self._per_vm: list[int] = []
-        self._per_mean: list[float] = []
-        self._per_amp: list[float] = []
-        self._per_period: list[float] = []
-        self._per_phase: list[float] = []
-        self._ramp_vm: list[int] = []
-        self._ramp_start: list[float] = []
-        self._ramp_end: list[float] = []
-        self._ramp_s: list[float] = []
+        # Slot-space closed-form task parameters: one growable column per
+        # ``_TaskArrays`` field, appended once per task at registration
+        # (specs are immutable), and a row count per task family.
+        self._task_columns = {
+            name: np.zeros(0, dtype=np.intp if name.endswith("_vm") else float)
+            for names in _TASK_FAMILIES.values()
+            for name in names
+        }
+        self._task_counts = dict.fromkeys(_TASK_FAMILIES, 0)
         #: Slot → stateful/user-defined tasks (spec order), stepped in
         #: Python by the load view.
         self.generic_tasks: dict[int, list] = {}
@@ -331,19 +323,20 @@ class FleetState:
 
         for task in spec.tasks:
             if type(task) is ConstantTask:
-                self._const_vm.append(slot)
-                self._const_level.append(task.level)
+                self._append_task("const", slot, task.level)
             elif type(task) is PeriodicTask:
-                self._per_vm.append(slot)
-                self._per_mean.append(task.mean)
-                self._per_amp.append(task.amplitude)
-                self._per_period.append(task.period_s)
-                self._per_phase.append(task.phase_s)
+                self._append_task(
+                    "per", slot, task.mean, task.amplitude, task.period_s, task.phase_s
+                )
             elif type(task) is RampTask:
-                self._ramp_vm.append(slot)
-                self._ramp_start.append(task.start_level)
-                self._ramp_end.append(task.end_level)
-                self._ramp_s.append(task.ramp_s)
+                self._append_task(
+                    "ramp",
+                    slot,
+                    task.start_level,
+                    task.end_level,
+                    task.end_level - task.start_level,
+                    task.ramp_s,
+                )
             else:
                 self.generic_tasks.setdefault(slot, []).append(task)
         if spec.tasks:
@@ -352,6 +345,17 @@ class FleetState:
         vm._fs = self
         vm._slot = slot
         return slot
+
+    def _append_task(self, family: str, *values) -> None:
+        """Append one task's row to its family's columns, growing them
+        in place."""
+        row = self._task_counts[family]
+        columns = self._task_columns
+        for name, value in zip(_TASK_FAMILIES[family], values):
+            column = _grown(columns[name], row + 1)
+            column[row] = value
+            columns[name] = column
+        self._task_counts[family] = row + 1
 
     # -- placement mutations -------------------------------------------------
 
@@ -446,22 +450,15 @@ class FleetState:
     # -- consumers -----------------------------------------------------------
 
     def task_arrays(self) -> _TaskArrays:
-        """Slot-space task parameter arrays, rebuilt only when a VM
-        registered new tasks since the last call."""
+        """Slot-space task parameter arrays: views over the in-place
+        grown columns, taken afresh only when a VM registered new tasks
+        since the last call."""
         if self._task_arrays_generation != self.task_generation:
             arrays = _TaskArrays()
-            arrays.const_vm = np.array(self._const_vm, dtype=np.intp)
-            arrays.const_level = np.array(self._const_level, dtype=float)
-            arrays.per_vm = np.array(self._per_vm, dtype=np.intp)
-            arrays.per_mean = np.array(self._per_mean, dtype=float)
-            arrays.per_amp = np.array(self._per_amp, dtype=float)
-            arrays.per_period = np.array(self._per_period, dtype=float)
-            arrays.per_phase = np.array(self._per_phase, dtype=float)
-            arrays.ramp_vm = np.array(self._ramp_vm, dtype=np.intp)
-            arrays.ramp_start = np.array(self._ramp_start, dtype=float)
-            arrays.ramp_end = np.array(self._ramp_end, dtype=float)
-            arrays.ramp_span = arrays.ramp_end - arrays.ramp_start
-            arrays.ramp_s = np.array(self._ramp_s, dtype=float)
+            for family, names in _TASK_FAMILIES.items():
+                rows = self._task_counts[family]
+                for name in names:
+                    setattr(arrays, name, self._task_columns[name][:rows])
             self._task_arrays = arrays
             self._task_arrays_generation = self.task_generation
         return self._task_arrays

@@ -77,6 +77,14 @@ class RngStream:
         self._random.shuffle(indices)
         return indices
 
+    def getstate(self) -> tuple:
+        """The generator's state (``random.Random.getstate``)."""
+        return self._random.getstate()
+
+    def setstate(self, state: tuple) -> None:
+        """Restore a state from :meth:`getstate`."""
+        self._random.setstate(state)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(root_seed={self.root_seed}, name={self.name!r})"
 

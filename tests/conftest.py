@@ -86,6 +86,12 @@ def make_record(
     )
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a real end-to-end run that takes tens of seconds"
+    )
+
+
 @pytest.fixture
 def server_spec() -> ServerSpec:
     """Fresh commodity server spec."""

@@ -137,7 +137,8 @@ def test_server_filtered_probe():
 
 def test_partially_sampled_steps():
     """A server joining mid-period samples out of phase with the rest, so
-    steps sample only some sensors (the ``append_cpu_sample`` path)."""
+    steps sample only some sensors (the partial-row
+    ``record_fleet_cpu_samples(..., slots)`` path)."""
     scenario = class_balanced_fleet_scenario(
         n_classes=2, servers_per_class=4, seed=43_700, duration_s=600.0
     )
