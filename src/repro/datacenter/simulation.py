@@ -27,9 +27,10 @@ Two execution paths implement step 2–3:
   *no* per-step writeback or repack — the server/VM objects are views
   over the same arrays, so events and probes always observe truthful
   state for free. Likewise the sensors' schedules and noise streams
-  live in a :class:`~repro.thermal.sensors.SensorBank`, which outlives
-  the view and a run, and hands them back only on a membership change or
-  a switch to the reference path, never per event. After probes run, the
+  live in the view's :class:`~repro.thermal.sensors.SensorBank`, which
+  hands them back to the sensor objects only when the view is dropped
+  (a membership change, a switch to the reference path, the end of a
+  run), never per event. After probes run, the
   fleet-state generation counter decides whether anything must be
   refreshed. Probe mutations must go
   through the public APIs (``set_fan_speed``/``set_fan_count``, VM
@@ -138,13 +139,14 @@ class _SoaFleet:
 
     Nothing here owns state: the engine's arrays alias the fleet-state
     buffers and the load view reads them directly, so there is no
-    writeback and no repack. The sensors' state lives in the
-    simulation's sensor bank, which outlives the view.
+    writeback and no repack. The sensors' state lives in the sensor
+    bank while the view exists; dropping the view unbinds the bank.
     """
 
     fs: FleetState
     engine: FleetThermalEngine
     load: FleetLoadView
+    sensor_bank: SensorBank
     membership_gen: int
 
 
@@ -174,12 +176,6 @@ class DatacenterSimulation:
         self._telemetry = None  # lazily built so cluster can be mutated first
         self._sensors: dict[str, TemperatureSensor] = {}
         self._fleet: _SoaFleet | None = None
-        #: The sensor bank binding the fleet's sensors, and the membership
-        #: it was bound for. It outlives the fleet view (see
-        #: :meth:`_fleet_rebuild`); a bound sensor read from an event or
-        #: probe draws from it too.
-        self._bank: SensorBank | None = None
-        self._bank_membership: tuple[FleetState, int] | None = None
         self._recording = True
         #: The latest step's columns (see :class:`StepColumns`); ``None``
         #: before the first step.
@@ -245,16 +241,15 @@ class DatacenterSimulation:
         end_time = self.time_s + duration_s
         # Fire anything scheduled exactly at the start time.
         self._fire_due_events()
-        self._fleet_rebuild()
+        if self.use_fleet_engine:
+            self._fleet_rebuild()
         if self._recording:
             self.telemetry.reserve_steps(math.ceil(duration_s / self.time_step_s))
         try:
             while self.time_s < end_time - 1e-9:
                 self._step(min(self.time_step_s, end_time - self.time_s))
         finally:
-            # The arrays are truth and the bank outlives the run; the next
-            # run re-derives the view, honouring mutations made in between.
-            self._fleet = None
+            self._drop_fleet()
 
     def _step(self, dt: float) -> None:
         """Fire the step's due events, then run one step body.
@@ -268,7 +263,8 @@ class DatacenterSimulation:
         next_event = self.events.peek_time()
         if next_event is not None and next_event <= new_time + 1e-9:
             self._fire_due_events()
-            self._fleet_rebuild()
+            if self.use_fleet_engine:
+                self._fleet_rebuild()
         if self._fleet is None:
             self._reference_body(dt, new_time)
         else:
@@ -277,47 +273,43 @@ class DatacenterSimulation:
     def _fleet_rebuild(self) -> None:
         """Point the fleet path at the cluster's current ``FleetState``.
 
-        When the fleet engine is on and every cluster server is bound
-        into the cluster's shared state (``fs.covers``: standard plants,
-        registration order), the "rebuild" is a handful of array slices —
+        When every cluster server is bound into the cluster's shared
+        state (``fs.covers``: standard plants, registration order), the
+        "rebuild" is a handful of array slices and one sensor-bank bind —
         and if a view over the same state already exists with unchanged
         membership, it is kept as-is (nothing to do: the arrays and the
-        sensor bank are truth). The sensor bank outlives the view: a new
-        view over an unchanged membership (the next run) reuses it, and
-        it is unbound (handing the sensor state back) only on a
-        membership change or when the cluster becomes ineligible, after
-        which steps run on the reference body until an event boundary
-        finds the cluster eligible again.
+        bank are truth). Otherwise the fleet view is dropped (unbinding
+        its sensor bank) and steps run on the reference body until an
+        event boundary finds the cluster eligible again.
         """
         cluster = self.cluster
         fs = cluster.fleet_state
-        eligible = self.use_fleet_engine and fs.covers(cluster.servers)
-        membership = (fs, fs.membership_generation)
+        eligible = fs.covers(cluster.servers)
         fleet = self._fleet
-        if (
-            fleet is not None
-            and eligible
-            and fleet.fs is fs
-            and fleet.membership_gen == fs.membership_generation
-        ):
-            return
-        self._fleet = None
-        if self._bank is not None and not (
-            eligible and self._bank_membership == membership
-        ):
-            self._bank.unbind()
-            self._bank = None
+        if fleet is not None:
+            if (
+                eligible
+                and fleet.fs is fs
+                and fleet.membership_gen == fs.membership_generation
+            ):
+                return
+            self._drop_fleet()
         if not eligible:
             return
-        if self._bank is None:
-            self._bank = SensorBank([self.sensor_for(name) for name in fs.server_names])
-            self._bank_membership = membership
         self._fleet = _SoaFleet(
             fs=fs,
             engine=FleetThermalEngine(fs),
             load=FleetLoadView(fs),
+            sensor_bank=SensorBank([self.sensor_for(name) for name in fs.server_names]),
             membership_gen=fs.membership_generation,
         )
+
+    def _drop_fleet(self) -> None:
+        """Drop the fleet view, handing the sensor state back to the
+        sensor objects; the arrays are truth and need no writeback."""
+        if self._fleet is not None:
+            self._fleet.sensor_bank.unbind()
+            self._fleet = None
 
     # -- step bodies ----------------------------------------------------------
 
@@ -408,7 +400,7 @@ class DatacenterSimulation:
                 fs.fan_count[:n],
                 fs.fan_speed[:n],
             )
-            due, values = self._bank.sample_due(new_time, cpu_c)
+            due, values = fleet.sensor_bank.sample_due(new_time, cpu_c)
             if due.size:
                 telemetry.record_fleet_cpu_samples(new_time, names, values, due)
         self.step_columns = StepColumns(new_time, due, values, utilization, cpu_c)

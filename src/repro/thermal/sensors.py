@@ -21,9 +21,9 @@ there — a direct :meth:`TemperatureSensor.read` or
 :meth:`~TemperatureSensor.maybe_sample` on a bound sensor draws the same
 stream the bank draws, so nothing is handed back between draws.
 :meth:`SensorBank.unbind` writes each stream and deadline back into the
-sensor objects. The simulation binds a bank the first time it builds
-its fleet view and keeps it across runs; it unbinds it only on a
-membership change or a switch to the per-server reference path.
+sensor objects. The simulation binds a bank whenever it builds its
+fleet view and unbinds it when it drops the view: on a membership
+change, a switch to the per-server reference path, or the end of a run.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import math
 import numpy as np
 
 from repro.config import SensorConfig
+from repro.errors import ConfigurationError
 from repro.rng import RngStream
 
 #: MT19937 key length (CPython's ``_randommodule.c``).
@@ -188,11 +189,11 @@ class SensorBank:
     polling, including the burst re-anchor after a time jump.
 
     Binding reads each stream's ``getstate()``; :meth:`unbind` writes it
-    back with ``setstate()`` and releases the sensors. A stream whose
-    position falls inside a four-word draw pair (it drew something other
-    than ``gauss``, e.g. one ``random()``) keeps drawing through its own
-    ``gauss`` while bound; only its deadline lives in the bank. A sensor
-    bound to another bank is released from that bank first.
+    back with ``setstate()`` and releases the sensors. A sensor stream is
+    drawn only through ``gauss``, four key words a pair, so a stream
+    whose position is not a multiple of four (it drew something else,
+    e.g. one ``random()``) is refused with :class:`ConfigurationError`.
+    A sensor bound to another bank is released from that bank first.
     """
 
     def __init__(self, sensors: list[TemperatureSensor]) -> None:
@@ -225,11 +226,15 @@ class SensorBank:
         self._version = versions[0] if versions else None
         self._key = np.ascontiguousarray(words[:, :_N])
         self._pos = words[:, _N].astype(np.intp)
+        misaligned = np.nonzero(self._pos % 4)[0]
+        if misaligned.size:
+            names = [self.sensors[r]._rng.name for r in misaligned.tolist()]
+            raise ConfigurationError(
+                f"sensor streams {names} drew something other than gauss(): "
+                "their positions are not a multiple of four key words"
+            )
         self._has_next = np.array([g is not None for g in gauss_next], dtype=bool)
         self._next_z = np.array([0.0 if g is None else g for g in gauss_next], dtype=float)
-        #: Rows whose stream draws through its own ``gauss`` (see above).
-        self._loose = self._pos % 4 != 0
-        self._any_loose = bool(self._loose.any())
         #: The draws of one key chunk per stream, and which chunk.
         self._z = np.empty((n, _CHUNK // 2))
         self._z_chunk = np.full(n, -1, dtype=np.intp)
@@ -275,13 +280,6 @@ class SensorBank:
         spent their key are twisted together, and rows whose next pair
         lies outside the key chunk they hold are refilled together.
         """
-        if self._any_loose:
-            loose = self._loose[rows]
-            if loose.any():
-                z = np.empty(rows.size)
-                z[~loose] = self._draw(rows[~loose])
-                z[loose] = [self.sensors[r]._rng.gauss() for r in rows[loose].tolist()]
-                return z
         pending = self._has_next[rows]
         z = self._next_z[rows]
         fresh = rows[~pending]
@@ -321,6 +319,5 @@ class SensorBank:
                 continue
             sensor._bank = None
             sensor._deadline_s = float(self._next[row])
-            if not self._loose[row]:
-                words = (*self._key[row].tolist(), positions[row])
-                sensor._rng.setstate((self._version, words, gauss_next[row]))
+            words = (*self._key[row].tolist(), positions[row])
+            sensor._rng.setstate((self._version, words, gauss_next[row]))

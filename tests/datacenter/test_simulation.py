@@ -283,3 +283,19 @@ class TestFleetEngineToggle:
         sim.cluster.server("s0").set_fan_speed(1.0)
         sim.run(30.0)
         assert sim.telemetry.for_server("s0").fan_speed.values[-1] == 1.0
+
+    def test_sensor_state_handed_back_after_run(self):
+        """The fleet path unbinds its sensor bank when a run ends, so each
+        sensor's own stream and schedule are where the reference path
+        leaves them."""
+        sims = []
+        for use_fleet in (True, False):
+            sim = make_sim(n_servers=2, noise=0.5)
+            sim.use_fleet_engine = use_fleet
+            sim.run(47.0)
+            sims.append(sim)
+        for name in ("s0", "s1"):
+            fleet, reference = (s.sensor_for(name) for s in sims)
+            assert fleet._bank is None
+            assert fleet._rng.getstate() == reference._rng.getstate()
+            assert fleet._next_sample_time == reference._next_sample_time

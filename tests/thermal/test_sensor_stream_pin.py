@@ -17,11 +17,11 @@ noise must give the same bits, sensor by sensor, as
   Mersenne Twister twists (624 words give 312 normal draws);
 * streams that took an odd number of direct ``read()`` calls before
   binding (a pending ``gauss_next``, a position off a twist boundary),
-  a stream bound four words before a twist, one bound exactly at a
-  twist, and one that drew a lone ``random()`` (a position that is not
-  a multiple of four words);
+  a stream bound four words before a twist, and one bound exactly at a
+  twist;
 * direct ``read()`` calls on sensors while they are bound;
-* a bank dropped and rebuilt over a changed membership.
+* a bank dropped and rebuilt over a changed membership, which a sensor
+  left out of the first bank joins.
 
 After the last bank is released, each stream's ``getstate()`` and one
 following direct ``read()`` are hashed too, so the state handed back to
@@ -32,8 +32,10 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 
 from repro.config import SensorConfig
+from repro.errors import ConfigurationError
 from repro.rng import RngStream
 from repro.thermal.sensors import SensorBank, TemperatureSensor
 
@@ -54,8 +56,8 @@ CONFIGS = (
 #: 155 pairs leave four words before a twist; 312 reads end exactly on
 #: one; odd counts leave a pending ``gauss_next``.
 PRE_READS = (0, 1, 2, 3, 7, 309, 312, 311, 0) + tuple(k % 3 for k in range(16))
-#: The sensor whose stream drew a lone ``random()`` before binding.
-LOOSE = 8
+#: The sensor that joins only the second bank.
+LATE = 8
 
 
 def _sensors() -> list[TemperatureSensor]:
@@ -70,8 +72,6 @@ def _sensors() -> list[TemperatureSensor]:
         for _ in range(PRE_READS[i]):
             sensor.read(40.0)
         sensors.append(sensor)
-    # A lone random() leaves the stream two words into a four-word pair.
-    sensors[LOOSE]._rng.random()
     return sensors
 
 
@@ -114,14 +114,14 @@ def _digest() -> str:
     sensors = _sensors()
     lines: list[str] = []
 
-    first = [i for i in range(len(sensors)) if i != LOOSE]
+    first = [i for i in range(len(sensors)) if i != LATE]
     bank = SensorBank([sensors[i] for i in first])
     _run(bank, sensors, first, _times(0.0, 420.0, {50.0: 17.0, 211.0: 9.5}), lines)
     _release(bank)
 
-    # Membership change: a sensor leaves, the odd-position one joins,
-    # and the order changes.
-    second = [LOOSE, 6, 0, 1, 2, 3, 4, 5] + list(range(len(sensors) - 1, LOOSE, -1))
+    # Membership change: a sensor leaves, the late one joins, and the
+    # order changes.
+    second = [LATE, 6, 0, 1, 2, 3, 4, 5] + list(range(len(sensors) - 1, LATE, -1))
     bank = SensorBank([sensors[i] for i in second])
     _run(bank, sensors, second, _times(420.0, 900.0, {600.0: 23.0}), lines)
     _release(bank)
@@ -136,7 +136,7 @@ def _digest() -> str:
 
 def test_bank_noise_stream_pinned():
     assert _digest() == (
-        "0314abf263056c5f74566c76797f758f87d9cbdadbb2c1f4f7746e7993934565"
+        "aa0fd6d905ec6ee1c284fdcf93d825755f2bbe70e6905722293e619a3dd28344"
     )
 
 
@@ -152,3 +152,14 @@ def test_streams_cross_two_twists():
         counts[due] += 1
     fast = [i for i, (period, _, _) in enumerate(CONFIGS) if period <= 1.0]
     assert (counts[fast] > 2 * 312).all()
+
+
+def test_misaligned_stream_refused():
+    """A stream that drew a lone ``random()`` sits two words into a
+    four-word draw pair; the bank refuses it rather than draw a
+    different sequence, and binds none of the sensors."""
+    sensors = _sensors()[:3]
+    sensors[1]._rng.random()
+    with pytest.raises(ConfigurationError, match="pin-1"):
+        SensorBank(sensors)
+    assert all(s._bank is None for s in sensors)
