@@ -21,8 +21,16 @@ Three built-in policies cover the classic trade-off triangle:
   be parked (cooling follows the COP curve: fewer, warmer hosts beat
   many cold ones).
 
-Every policy scores all its candidate (VM, destination) moves in **one**
-batched what-if call per interval.
+Every policy plans on slot arrays of the cluster's
+:class:`~repro.datacenter.fleetstate.FleetState`: candidates come from
+:func:`~repro.management.whatif.eviction_slots` as (source, VM,
+destination) arrays, the cooldown / in-flight / ``RUNNING`` vetoes are
+masks over them, all of them are scored in **one** batched
+:meth:`~repro.management.whatif.WhatIfScorer.score_slots` call per
+interval, and :meth:`MitigationPolicy._greedy_assign` picks with one
+``lexsort`` and a claim walk per source. A
+:class:`~repro.management.whatif.MoveScore` is built only for each move
+a plan returns.
 """
 
 from __future__ import annotations
@@ -30,12 +38,30 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.datacenter.cluster import Cluster
-from repro.datacenter.vm import VmState
+from repro.datacenter.fleetstate import FleetState
+from repro.datacenter.vm import STATE_CODES, VmState
 from repro.errors import ConfigurationError
 from repro.management.hotspot import HotspotDetector
-from repro.management.whatif import MoveScore, WhatIfScorer, enumerate_evictions
+from repro.management.whatif import (
+    CandidateMove,
+    MoveScore,
+    WhatIfScorer,
+    eviction_slots,
+)
+# Planning no longer calls the named enumeration; the name stays bound
+# here because per-layer profiles (``perfbench/layers.py``:
+# ``management.enumerate``) wrap it in this module.
+from repro.management.whatif import enumerate_evictions  # noqa: F401
 from repro.serving.fleet import ForecastSnapshot
+
+#: Only a VM exactly RUNNING may be moved (not one already MIGRATING).
+_RUNNING = STATE_CODES[VmState.RUNNING]
+
+#: (source slot, VM slot, destination slot) arrays of candidate moves.
+Candidates = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -72,16 +98,43 @@ class ControlView:
                 movable.append(name)
         return movable
 
-    def movable(self, move) -> bool:
-        """Is a candidate move free of cooldown/in-flight vetoes?"""
-        if move.vm_name in self.resting_vms:
-            return False
-        if move.source in self.resting_servers:
-            return False
-        if move.destination in self.resting_servers:
-            return False
-        vm = self.cluster.server(move.source).vms.get(move.vm_name)
-        return vm is not None and vm.state is VmState.RUNNING
+
+def _resting_servers(view: ControlView) -> np.ndarray:
+    """Per fleet-state slot: is the server resting (no move may touch
+    it this interval)?"""
+    names = view.cluster.fleet_state.server_names
+    resting = view.resting_servers
+    return np.fromiter((name in resting for name in names), bool, len(names))
+
+
+def _movable(view: ControlView, candidates: Candidates) -> Candidates:
+    """The candidates whose VM is exactly RUNNING and not resting."""
+    source, vm, destination = candidates
+    state = view.cluster.fleet_state
+    keep = state.vm_state_code[vm] == _RUNNING
+    if view.resting_vms:
+        distinct, inverse = np.unique(vm, return_inverse=True)
+        resting = np.fromiter(
+            (
+                state.vm_objects[slot].name in view.resting_vms
+                for slot in distinct.tolist()
+            ),
+            bool,
+            distinct.shape[0],
+        )
+        keep &= ~resting[inverse]
+    return source[keep], vm[keep], destination[keep]
+
+
+def _str_ranks(names: list[str]) -> np.ndarray:
+    """Each name's position in Python ``str`` order (``"vm10" < "vm9"``)."""
+    ranks = np.empty(len(names), dtype=np.intp)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
+
+
+def _slots(cluster: Cluster, names: list[str]) -> np.ndarray:
+    return np.array([cluster.server(name)._slot for name in names], dtype=np.intp)
 
 
 class MitigationPolicy(ABC):
@@ -95,43 +148,75 @@ class MitigationPolicy(ABC):
 
     @staticmethod
     def _greedy_assign(
-        sources: list[str],
-        scores: list[MoveScore],
+        state: FleetState,
+        sources: np.ndarray,
+        candidates: Candidates,
+        scores: tuple[np.ndarray, np.ndarray],
         destination_limit_c: float,
-        preference,
+        preference: np.ndarray,
         exclusive_sources: bool = False,
     ) -> list[MoveScore]:
         """One move per source, greedily, with destination claiming.
 
-        Keeps scores whose destination stays below
-        ``destination_limit_c``; each source (in the given urgency
-        order) takes its ``preference``-best option among destinations
-        no earlier source claimed this interval, so one attractive
-        server doesn't soak up every plan only to be cooldown-blocked
-        after the first. ``exclusive_sources`` additionally bars a
-        server from acting as both drain and receiver in one plan.
+        ``candidates`` are scored (``scores``: predicted source and
+        destination temperatures). Keeps those whose destination is not
+        at or above ``destination_limit_c`` (so a NaN prediction stays
+        admissible); each source slot (in the given urgency order) takes
+        its lowest-``preference`` option — ties broken by VM name, then
+        destination name, in ``str`` order — among destinations no
+        earlier source claimed this interval, so one attractive server
+        doesn't soak up every plan only to be cooldown-blocked after the
+        first. ``exclusive_sources`` additionally bars a server from
+        acting as both drain and receiver in one plan. One ``lexsort``
+        orders every source's options; the walk per source only skips
+        claimed destinations.
         """
-        admissible: dict[str, list[MoveScore]] = {}
-        for score in scores:
-            if score.predicted_destination_c >= destination_limit_c:
+        source, vm, destination = candidates
+        source_c, destination_c = scores
+        kept = np.flatnonzero(~(destination_c >= destination_limit_c))
+        urgency = np.empty(state.n_servers, dtype=np.intp)
+        urgency[sources] = np.arange(sources.shape[0])
+        distinct, vm_of = np.unique(vm[kept], return_inverse=True)
+        vm_rank = _str_ranks([state.vm_objects[slot].name for slot in distinct.tolist()])
+        server_rank = _str_ranks(state.server_names)
+        order = kept[
+            np.lexsort((
+                server_rank[destination[kept]],
+                vm_rank[vm_of],
+                preference[kept],
+                urgency[source[kept]],
+            ))
+        ]
+        bounds = np.searchsorted(
+            urgency[source[order]], np.arange(sources.shape[0] + 1)
+        ).tolist()
+        claimed = np.zeros(state.n_servers, dtype=bool)
+        planned = []
+        for rank, slot in enumerate(sources.tolist()):
+            if exclusive_sources and claimed[slot]:
                 continue
-            admissible.setdefault(score.move.source, []).append(score)
-        planned: list[MoveScore] = []
-        used: set[str] = set()
-        for source in sources:
-            if exclusive_sources and source in used:
+            options = order[bounds[rank] : bounds[rank + 1]]
+            free = np.flatnonzero(~claimed[destination[options]])
+            if free.shape[0] == 0:
                 continue
-            options = sorted(admissible.get(source, ()), key=preference)
-            chosen = next(
-                (s for s in options if s.move.destination not in used), None
-            )
-            if chosen is None:
-                continue
-            used.add(chosen.move.destination)
+            chosen = int(options[free[0]])
+            claimed[destination[chosen]] = True
             if exclusive_sources:
-                used.add(source)
+                claimed[slot] = True
             planned.append(chosen)
-        return planned
+        names = state.server_names
+        return [
+            MoveScore(
+                move=CandidateMove(
+                    vm_name=state.vm_objects[vm[k]].name,
+                    source=names[source[k]],
+                    destination=names[destination[k]],
+                ),
+                predicted_source_c=float(source_c[k]),
+                predicted_destination_c=float(destination_c[k]),
+            )
+            for k in planned
+        ]
 
     @staticmethod
     def _best_eviction_per_source(
@@ -153,25 +238,27 @@ class MitigationPolicy(ABC):
         sources = view.movable_sources(sources)
         if not sources:
             return []
-        excluded = set(sources)
-        destinations = [
-            server.name
-            for server in view.cluster.servers
-            if server.name not in excluded
-        ]
-        moves = enumerate_evictions(view.cluster, sources, destinations)
-        moves = [move for move in moves if view.movable(move)]
-        scores = view.scorer.score_moves(view.cluster, moves, view.environment_c)
-        # Lowest predicted post-move peak wins (ties: VM, destination).
+        state = view.cluster.fleet_state
+        source_slots = _slots(view.cluster, sources)
+        receivers = ~_resting_servers(view)
+        receivers[source_slots] = False
+        candidates = _movable(
+            view, eviction_slots(state, source_slots, np.flatnonzero(receivers))
+        )
+        source_c, destination_c = view.scorer.score_slots(
+            state, *candidates, view.environment_c
+        )
+        # Lowest predicted post-move peak wins (ties: VM, destination);
+        # the peak is Python's max(source, destination), which keeps the
+        # source's value when the destination's is NaN.
+        peak = np.where(destination_c > source_c, destination_c, source_c)
         return MitigationPolicy._greedy_assign(
-            sources,
-            scores,
+            state,
+            source_slots,
+            candidates,
+            (source_c, destination_c),
             destination_limit_c,
-            preference=lambda s: (
-                s.predicted_peak_c,
-                s.move.vm_name,
-                s.move.destination,
-            ),
+            preference=peak,
         )
 
 
@@ -254,50 +341,50 @@ class EnergyAwareConsolidationPolicy(MitigationPolicy):
         if any(temp > limit for temp in predicted.tolist()):
             return []
         cluster = view.cluster
+        state = cluster.fleet_state
+        n = state.n_servers
+        counts = np.fromiter(map(len, state.server_vm_slots), np.intp, n)
+        measured = np.array(
+            [view.measured_c.get(name, 0.0) for name in state.server_names]
+        )
 
         # Strict drain order — emptier, cooler, then name — so load only
         # ever flows "uphill" toward fuller/warmer hosts: no A→B while
         # B→A cycles, and ties (a uniform one-VM fleet) still drain.
-        def order_key(name: str):
-            return (
-                len(cluster.server(name).vms),
-                view.measured_c.get(name, 0.0),
-                name,
-            )
-
-        hosting = [server.name for server in cluster.servers if server.vms]
-        sources = view.movable_sources(
-            sorted(
-                (
-                    name
-                    for name in hosting
-                    if len(cluster.server(name).vms) <= self.max_source_vms
-                ),
-                key=order_key,
-            )
+        hosting = np.flatnonzero(counts)
+        drain = hosting[
+            np.lexsort((
+                _str_ranks(state.server_names)[hosting],
+                measured[hosting],
+                counts[hosting],
+            ))
+        ]
+        position = np.empty(n, dtype=np.intp)
+        position[drain] = np.arange(drain.shape[0])
+        sources = view.movable_sources([
+            state.server_names[slot]
+            for slot in drain[counts[drain] <= self.max_source_vms].tolist()
+        ])
+        source_slots = _slots(cluster, sources)
+        source, vm, destination = eviction_slots(
+            state, source_slots, hosting[~_resting_servers(view)[hosting]]
         )
-        moves = []
-        for source in sources:
-            uphill = [
-                name
-                for name in hosting
-                if order_key(name) > order_key(source)
-                and name not in view.resting_servers
-            ]
-            moves.extend(enumerate_evictions(cluster, [source], uphill))
-        moves = [move for move in moves if view.movable(move)]
-        scores = view.scorer.score_moves(cluster, moves, view.environment_c)
+        uphill = position[destination] > position[source]
+        candidates = _movable(
+            view, (source[uphill], vm[uphill], destination[uphill])
+        )
+        source_c, destination_c = view.scorer.score_slots(
+            state, *candidates, view.environment_c
+        )
         # Pack the warm host: highest still-safe destination wins (ties:
         # VM, name); exclusive sources keep a server from acting as both
         # drain and receiver in one plan.
         return self._greedy_assign(
-            sources,
-            scores,
+            state,
+            source_slots,
+            candidates,
+            (source_c, destination_c),
             limit,
-            preference=lambda s: (
-                -s.predicted_destination_c,
-                s.move.vm_name,
-                s.move.destination,
-            ),
+            preference=-destination_c,
             exclusive_sources=True,
         )

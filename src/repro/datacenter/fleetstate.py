@@ -174,6 +174,10 @@ class FleetState:
         self.vm_vcpus = np.zeros(0, dtype=np.int64)
         self.vm_state_code = np.zeros(0, dtype=np.int8)
         self.vm_server = np.zeros(0, dtype=np.int64)
+        #: Number of server dicts listing each VM: one while hosted, two
+        #: while a migration has attached it to a second host before the
+        #: first lets go. ``vm_server`` always names one of them.
+        self.vm_listings = np.zeros(0, dtype=np.int64)
         self.vm_task_kinds = np.zeros((0, len(TASK_KINDS)), dtype=float)
         self.vm_unknown_kind = np.zeros(0, dtype=bool)
 
@@ -295,6 +299,7 @@ class FleetState:
         self.vm_vcpus = _grown(self.vm_vcpus, needed)
         self.vm_state_code = _grown(self.vm_state_code, needed)
         self.vm_server = _grown(self.vm_server, needed)
+        self.vm_listings = _grown(self.vm_listings, needed)
         self.vm_task_kinds = _grown(self.vm_task_kinds, needed)
         self.vm_unknown_kind = _grown(self.vm_unknown_kind, needed)
         self.n_vms = needed
@@ -364,6 +369,7 @@ class FleetState:
         attach): ownership, insertion order, committed capacity."""
         slot = self._register_vm(vm)
         self.vm_server[slot] = server_slot
+        self.vm_listings[slot] += 1
         self.server_vm_slots[server_slot].append(slot)
         self.used_memory_gb[server_slot] += vm.spec.memory_gb
         self.used_vcpus[server_slot] += vm.spec.vcpus
@@ -375,10 +381,15 @@ class FleetState:
         """Record ``vm`` leaving a server's dict (removal / migration
         detach). The committed-memory float is recomputed as the
         left-fold sum over the surviving dict order so it stays
-        bit-identical to the historical re-summing property."""
+        bit-identical to the historical re-summing property. A VM still
+        listed by another server stays owned by that server."""
         slot = vm._slot
-        self.vm_server[slot] = -1
         self.server_vm_slots[server_slot].remove(slot)
+        self.vm_listings[slot] -= 1
+        if not self.vm_listings[slot]:
+            self.vm_server[slot] = -1
+        elif self.vm_server[slot] == server_slot:
+            self.vm_server[slot] = self._listing_servers(slot)[0]
         self.used_vcpus[server_slot] -= vm.spec.vcpus
         total_gb = 0.0
         for survivor in remaining_vms.values():
@@ -389,8 +400,8 @@ class FleetState:
         self._bump_placement(server_slot)
 
     def set_vm_state(self, slot: int, code: int) -> None:
-        """Lifecycle transition of a registered VM; keeps the hosting
-        server's running count and generation coherent."""
+        """Lifecycle transition of a registered VM; keeps the running
+        count and generation of every server listing it coherent."""
         old = self.vm_state_code[slot]
         # reprolint: waive R005 -- delta==0 transitions (e.g. PAUSED ->
         # STOPPED) leave the running set unchanged, so placement/load
@@ -400,8 +411,22 @@ class FleetState:
         if server_slot >= 0:
             delta = int(code in RUNNING_CODES) - int(old in RUNNING_CODES)
             if delta:
-                self.n_running[server_slot] += delta
-                self._bump_placement(server_slot)
+                hosts = (
+                    self._listing_servers(slot)
+                    if self.vm_listings[slot] > 1
+                    else (server_slot,)
+                )
+                for host in hosts:
+                    self.n_running[host] += delta
+                    self._bump_placement(host)
+
+    def _listing_servers(self, slot: int) -> list[int]:
+        """Slots of the servers whose dicts list VM ``slot``."""
+        return [
+            server
+            for server, slots in enumerate(self.server_vm_slots)
+            if slot in slots
+        ]
 
     def _bump_placement(self, server_slot: int) -> None:
         self.server_generation[server_slot] += 1

@@ -10,9 +10,9 @@ and cutting cooling power (§I). This subpackage closes that loop:
   the stable model "how hot would this host get with the VM added?" and
   picks the coolest predicted outcome;
 * :mod:`repro.management.whatif` — the shared batched what-if path: one
-  hypothetical-record builder and one batched candidate scorer that the
-  scheduler and the closed-loop control plane (:mod:`repro.control`)
-  both drive;
+  hypothetical-record builder, eviction candidates as fleet-state slot
+  arrays, and one batched candidate scorer that the scheduler and the
+  closed-loop control plane (:mod:`repro.control`) both drive;
 * :mod:`repro.management.energy` — CRAC cooling-power model (COP curve)
   and energy accounting, so policies can be compared in watts.
 """
@@ -25,6 +25,7 @@ from repro.management.whatif import (
     MoveScore,
     WhatIfScorer,
     enumerate_evictions,
+    eviction_slots,
     record_for_host,
 )
 
@@ -39,5 +40,6 @@ __all__ = [
     "ThermalAwareScheduler",
     "WhatIfScorer",
     "enumerate_evictions",
+    "eviction_slots",
     "record_for_host",
 ]

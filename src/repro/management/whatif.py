@@ -9,21 +9,25 @@ closed-loop control plane in :mod:`repro.control` both ask them here:
 * :func:`record_for_host` — the reference hypothetical-record builder
   (current VM set, optionally minus ``without_vm`` and/or plus
   ``extra_vm``), the Eq. (2) input the paper's model reads;
-* :class:`CandidateMove` / :class:`MoveScore` — one (VM, source,
-  destination) candidate and its scored outcome;
-* :func:`enumerate_evictions` — all feasible moves off a set of
-  source servers;
-* :class:`WhatIfScorer` — scores *all* candidate moves in one batched
-  SVR call. The candidates never become records: the scorer dedups
-  them into (server slot, removed VM slot, added VM slot) triples —
-  "source without VM x" is shared by every destination considered for
-  x, "destination with VM x" by every VM of x's Eq. (2) flavor — and
-  :func:`repro.core.features.feature_rows` builds their feature rows
-  straight from the cluster's
-  :class:`~repro.datacenter.fleetstate.FleetState` columns. The matrix
+* :func:`eviction_slots` — every admissible move off a set of source
+  servers, as parallel (source, VM, destination) slot arrays over the
+  cluster's :class:`~repro.datacenter.fleetstate.FleetState`;
+  admission is :meth:`~repro.datacenter.server.Server.can_host`'s
+  arithmetic on the fleet columns, bit for bit;
+* :meth:`WhatIfScorer.score_slots` — scores those arrays in one batched
+  SVR call. Candidates are deduped into (server slot, removed VM slot,
+  added VM slot) triples — "source without VM x" is shared by every
+  destination considered for x, "destination with VM x" by every VM of
+  x's Eq. (2) flavor — and :func:`repro.core.features.feature_rows`
+  builds their feature rows straight from the fleet columns. The matrix
   goes through ``predict_features`` — of the one shared predictor, or
   of each host's :class:`~repro.serving.registry.ModelEntry`, resolved
-  once per host.
+  once per host;
+* :class:`CandidateMove` / :class:`MoveScore` with
+  :func:`enumerate_evictions` / :meth:`WhatIfScorer.score_moves` — the
+  same two steps over named moves, thin conversions over the slot
+  arrays for callers that hold names (the control policies build these
+  objects only for the moves a plan returns).
 
 Each array row is bitwise equal to ``FeatureExtractor.extract`` of the
 matching :func:`record_for_host` record, and ``EpsilonSVR.predict`` is
@@ -36,6 +40,7 @@ contract tested in ``tests/management/test_whatif.py`` and benchmarked
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -133,6 +138,42 @@ class MoveScore:
         return max(self.predicted_source_c, self.predicted_destination_c)
 
 
+def eviction_slots(
+    state: FleetState, sources, destinations
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every admissible move off ``sources``, as (source, VM, destination)
+    slot arrays.
+
+    Order: sources as given, each source's VMs in ``server_vm_slots``
+    (its dict) order, destinations as given; a destination equal to the
+    source is skipped. Admission is :meth:`Server.can_host
+    <repro.datacenter.server.Server.can_host>` with nothing reserved,
+    the same float expressions in the same order over the fleet columns,
+    so each verdict is the object check's bit for bit.
+    """
+    sources = np.asarray(sources, dtype=np.intp)
+    destinations = np.asarray(destinations, dtype=np.intp)
+    hosted = [state.server_vm_slots[slot] for slot in sources.tolist()]
+    counts = np.fromiter(map(len, hosted), np.intp, len(hosted))
+    vms = np.fromiter(
+        itertools.chain.from_iterable(hosted), np.intp, int(counts.sum())
+    )
+    owners = np.repeat(sources, counts)
+    free_gb = (
+        state.memory_capacity_gb[destinations] - state.used_memory_gb[destinations]
+    )
+    admitted = (
+        ~(state.vm_memory_gb[vms][:, None] > free_gb + 1e-9)
+        & (
+            state.used_vcpus[destinations] + state.vm_vcpus[vms][:, None]
+            <= state.vcpu_limit[destinations] + 1e-9
+        )
+        & (destinations != owners[:, None])
+    )
+    pair, column = np.nonzero(admitted)
+    return owners[pair], vms[pair], destinations[column]
+
+
 def enumerate_evictions(
     cluster: Cluster,
     sources: Iterable[str],
@@ -144,28 +185,28 @@ def enumerate_evictions(
     cluster member); feasibility is the destination's
     :meth:`~repro.datacenter.server.Server.can_host` admission check.
     Moves come back in deterministic order: sources as given, VMs in
-    hosting order, destinations in cluster order.
+    hosting order, destinations in cluster order. Named form of
+    :func:`eviction_slots`.
     """
-    source_names = list(sources)
     if destinations is None:
         candidates = cluster.servers
     else:
         candidates = [cluster.server(name) for name in destinations]
-    moves: list[CandidateMove] = []
-    for source_name in source_names:
-        source = cluster.server(source_name)
-        for vm_name, vm in source.vms.items():
-            for destination in candidates:
-                if destination.name == source_name or not destination.can_host(vm):
-                    continue
-                moves.append(
-                    CandidateMove(
-                        vm_name=vm_name,
-                        source=source_name,
-                        destination=destination.name,
-                    )
-                )
-    return moves
+    state = cluster.fleet_state
+    source, vm, destination = eviction_slots(
+        state,
+        [cluster.server(name)._slot for name in sources],
+        [server._slot for server in candidates],
+    )
+    names = state.server_names
+    return [
+        CandidateMove(
+            vm_name=state.vm_objects[v].name,
+            source=names[s],
+            destination=names[d],
+        )
+        for s, v, d in zip(source.tolist(), vm.tolist(), destination.tolist())
+    ]
 
 
 #: Maps a server to its model registry key (per-class model selection).
@@ -242,36 +283,59 @@ class WhatIfScorer:
     ) -> list[MoveScore]:
         """Score every candidate move in one batched ψ_stable call.
 
+        Named form of :meth:`score_slots`: scores come back indexed like
+        ``moves``. A move whose VM is not on its source raises
+        :class:`~repro.errors.SchedulingError`; a non-finite
+        ``environment_c`` raises :class:`~repro.errors.ConfigurationError`.
+        """
+        slots = np.empty((3, len(moves)), dtype=np.intp)
+        for i, move in enumerate(moves):
+            source = cluster.server(move.source)
+            vm = source.vms.get(move.vm_name)
+            if vm is None:
+                raise SchedulingError(
+                    f"VM {move.vm_name!r} not on source {move.source!r}"
+                )
+            destination = cluster.server(move.destination)
+            slots[:, i] = source._slot, vm._slot, destination._slot
+        source_c, destination_c = self.score_slots(
+            cluster.fleet_state, *slots, environment_c
+        )
+        return [
+            MoveScore(
+                move=move,
+                predicted_source_c=source_value,
+                predicted_destination_c=destination_value,
+            )
+            for move, source_value, destination_value in zip(
+                moves, source_c.tolist(), destination_c.tolist()
+            )
+        ]
+
+    def score_slots(
+        self,
+        state: FleetState,
+        source: np.ndarray,
+        moved: np.ndarray,
+        destination: np.ndarray,
+        environment_c: float,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted ψ_stable of (source without VM, destination with VM)
+        for parallel slot arrays, in one batched call.
+
         Builds each *unique* hypothetical feature row once and evaluates
         the whole batch through a single kernel pass. "Source minus VM"
         is shared across that VM's destinations, and "destination plus
         VM" is keyed by the moved VM's Eq. (2) contributions (vCPUs,
         memory, nominal utilization, task-kind histogram) rather than its
-        name — fleets run many identical VM flavors, and identical rows
+        slot — fleets run many identical VM flavors, and identical rows
         are identical predictions, so the dedup cannot change a single
-        bit. Scores come back indexed like ``moves``. A non-finite
-        ``environment_c`` raises :class:`~repro.errors.ConfigurationError`.
+        bit. A non-finite ``environment_c`` raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         _require_finite(environment_c)
-        if not moves:
-            return []
-        state = cluster.fleet_state
-        sources: list[int] = []
-        destinations: list[int] = []
-        moved_vms: list[int] = []
-        for move in moves:
-            source_server = cluster.server(move.source)
-            vm = source_server.vms.get(move.vm_name)
-            if vm is None:
-                raise SchedulingError(
-                    f"VM {move.vm_name!r} not on source {move.source!r}"
-                )
-            sources.append(source_server._slot)
-            destinations.append(cluster.server(move.destination)._slot)
-            moved_vms.append(vm._slot)
-        source = np.array(sources, dtype=np.intp)
-        destination = np.array(destinations, dtype=np.intp)
-        moved = np.array(moved_vms, dtype=np.intp)
+        if source.shape[0] == 0:
+            return np.empty(0, dtype=float), np.empty(0, dtype=float)
 
         # Moved VMs with equal Eq. (2) contributions share a flavor id.
         distinct, vm_of_move = np.unique(moved, return_inverse=True)
@@ -307,16 +371,7 @@ class WhatIfScorer:
         )
         x = feature_rows(state, server_slots, removed, added, environment_c)
         predicted = self._predict(x, server_slots, state)
-        source_c = predicted[without_of_move].tolist()
-        destination_c = predicted[n_without + with_of_move].tolist()
-        return [
-            MoveScore(
-                move=move,
-                predicted_source_c=source_c[i],
-                predicted_destination_c=destination_c[i],
-            )
-            for i, move in enumerate(moves)
-        ]
+        return predicted[without_of_move], predicted[n_without + with_of_move]
 
     def score_placements(
         self,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datacenter.cluster import Cluster
+from repro.datacenter.fleet_load import FleetLoadView
 from repro.datacenter.resources import ResourceCapacity
 from repro.datacenter.server import Server, ServerSpec
 from repro.datacenter.vm import RUNNING_CODES, STATE_CODES, Vm, VmSpec, VmState
@@ -289,6 +290,68 @@ class TestPlacementGeneration:
         before = fs.placement_generation
         vm.terminate()
         assert fs.placement_generation > before
+
+
+class TestDoubleListing:
+    """A VM attached mid-migration to a second host while the first
+    still lists it: every server listing it keeps its running count,
+    generation and load coherent with its own dict."""
+
+    def assert_matches_server_loop(self, cluster, time_s=10.0):
+        fs = cluster.fleet_state
+        servers = cluster.servers
+        assert fs.n_running[: fs.n_servers].tolist() == [
+            len(server.running_vms()) for server in servers
+        ]
+        assert FleetLoadView(fs).utilizations(time_s).tolist() == [
+            server.current_load(time_s).utilization for server in servers
+        ]
+        for slot, vm in enumerate(fs.vm_objects):
+            owner = fs.vm_server[slot]
+            if owner >= 0:
+                assert vm.name in servers[owner].vms
+            else:
+                assert all(vm.name not in server.vms for server in servers)
+
+    def double_listed(self):
+        cluster = Cluster("double")
+        for i in range(3):
+            cluster.add_server(make_server(f"s{i}"))
+        s0, s1 = cluster.server("s0"), cluster.server("s1")
+        s0.host_vm(make_vm("mover"), time_s=0.0)
+        s0.host_vm(make_vm("stay"), time_s=0.0)
+        s1.host_vm(make_vm("resident"), time_s=0.0)
+        mover = s0.vms["mover"]
+        mover.begin_migration()
+        s1.attach_migrating_vm(mover)
+        return cluster, mover
+
+    def test_remove_from_later_host_keeps_earlier_owner(self):
+        cluster, mover = self.double_listed()
+        fs = cluster.fleet_state
+        s0 = cluster.server("s0")
+        cluster.server("s1").remove_vm("mover")
+        assert fs.vm_server[mover._slot] == s0._slot
+        self.assert_matches_server_loop(cluster)
+        before = s0.placement_generation
+        mover.terminate()
+        assert s0.placement_generation > before
+        assert fs.n_running[s0._slot] == 1
+        self.assert_matches_server_loop(cluster)
+
+    def test_state_change_while_listed_twice(self):
+        cluster, mover = self.double_listed()
+        s0, s1 = cluster.server("s0"), cluster.server("s1")
+        generations = s0.placement_generation, s1.placement_generation
+        mover.terminate()
+        assert s0.placement_generation > generations[0]
+        assert s1.placement_generation > generations[1]
+        self.assert_matches_server_loop(cluster)
+        s0.remove_vm("mover")
+        assert cluster.fleet_state.vm_server[mover._slot] == s1._slot
+        s1.remove_vm("mover")
+        assert cluster.fleet_state.vm_server[mover._slot] == -1
+        self.assert_matches_server_loop(cluster)
 
 
 class TestFindVm:
