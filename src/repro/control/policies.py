@@ -177,7 +177,9 @@ class MitigationPolicy(ABC):
         urgency = np.empty(state.n_servers, dtype=np.intp)
         urgency[sources] = np.arange(sources.shape[0])
         distinct, vm_of = np.unique(vm[kept], return_inverse=True)
-        vm_rank = _str_ranks([state.vm_objects[slot].name for slot in distinct.tolist()])
+        vm_rank = _str_ranks(
+            [state.vm_objects[slot].name for slot in distinct.tolist()]
+        )
         server_rank = _str_ranks(state.server_names)
         order = kept[
             np.lexsort((
