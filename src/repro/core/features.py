@@ -145,6 +145,8 @@ class FeatureExtractor:
         """Feature matrix for many records, shape (n_records, n_features)."""
         if not records:
             raise FeatureError("cannot build a feature matrix from zero records")
+        if len(records) == 1:
+            return self.extract(records[0])[None, :]
         return np.vstack([self.extract(r) for r in records])
 
     def targets(self, records: list[ExperimentRecord]) -> np.ndarray:

@@ -21,7 +21,7 @@ from repro.svm.metrics import (
     rmse,
 )
 from repro.svm.scaling import MinMaxScaler
-from repro.svm.svr import EpsilonSVR
+from repro.svm.svr import EpsilonSVR, predict_scaled
 
 
 class StableTemperaturePredictor:
@@ -91,7 +91,7 @@ class StableTemperaturePredictor:
         """
         if self._scaler is None or self._model is None:
             raise NotFittedError("StableTemperaturePredictor used before fit")
-        return np.atleast_1d(self._model.predict(self._scaler.transform(x)))
+        return predict_scaled(self._scaler, self._model, x)
 
     # -- evaluation ------------------------------------------------------------
 

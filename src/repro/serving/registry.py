@@ -43,7 +43,7 @@ from repro.core.records import ExperimentRecord
 from repro.core.stable import StableTemperaturePredictor
 from repro.errors import ServingError
 from repro.svm.scaling import MinMaxScaler
-from repro.svm.svr import EpsilonSVR
+from repro.svm.svr import EpsilonSVR, predict_scaled
 
 #: Fallback key used by :meth:`ModelRegistry.resolve`.
 DEFAULT_KEY = "default"
@@ -83,7 +83,7 @@ class ModelEntry:
         :meth:`predict_records` is this over ``extractor.matrix(records)``;
         the what-if scorer passes rows built from fleet arrays instead.
         """
-        return np.atleast_1d(self.model.predict(self.scaler.transform(x)))
+        return predict_scaled(self.scaler, self.model, x)
 
 
 class ModelRegistry:

@@ -26,6 +26,25 @@ class Kernel(ABC):
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.gram(a, b)
 
+    def support_state(self, support: np.ndarray) -> object:
+        """What :meth:`support_gram` reuses of a fitted model's support rows.
+
+        A fitted ε-SVR computes this once, when it adopts its support
+        vectors, so a prediction pays only for its query rows. The
+        default keeps nothing.
+        """
+        return None
+
+    def support_gram(
+        self, a: np.ndarray, support: np.ndarray, state: object
+    ) -> np.ndarray:
+        """``gram(a, support)`` given ``support_state(support)``, bit for bit.
+
+        ``a`` is a 2-D float matrix; the result is a fresh array the
+        caller may overwrite.
+        """
+        return self.gram(a, support)
+
     @property
     @abstractmethod
     def name(self) -> str:
@@ -41,12 +60,24 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
     return arr
 
 
-def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at 0 for stability."""
-    a2 = np.sum(a * a, axis=1)[:, None]
-    b2 = np.sum(b * b, axis=1)[None, :]
-    d2 = a2 + b2 - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a 2-D matrix."""
+    return np.add.reduce(x * x, axis=1)
+
+
+def squared_distances(
+    a: np.ndarray, b: np.ndarray, b_norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clipped at 0 for stability.
+
+    ``‖a‖² + ‖b‖² − 2·a·bᵀ``; pass ``b_norms = row_norms(b)`` to reuse
+    the right-hand norms (the result is the same either way).
+    """
+    d2 = row_norms(a)[:, None] + (row_norms(b) if b_norms is None else b_norms)
+    ab = a @ b.T
+    np.multiply(ab, 2.0, out=ab)
+    np.subtract(d2, ab, out=d2)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 @dataclass(frozen=True)
@@ -65,7 +96,21 @@ class RbfKernel(Kernel):
 
     def gram(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = _as_2d(a), _as_2d(b)
-        return np.exp(-self.gamma * squared_distances(a, b))
+        return self._exp(squared_distances(a, b))
+
+    def support_state(self, support: np.ndarray) -> np.ndarray:
+        """The support rows' squared norms."""
+        return row_norms(support)
+
+    def support_gram(
+        self, a: np.ndarray, support: np.ndarray, state: np.ndarray
+    ) -> np.ndarray:
+        return self._exp(squared_distances(a, support, state))
+
+    def _exp(self, d2: np.ndarray) -> np.ndarray:
+        """``exp(−γ·d2)``, overwriting ``d2``."""
+        np.multiply(d2, -self.gamma, out=d2)
+        return np.exp(d2, out=d2)
 
 
 class GramCache:

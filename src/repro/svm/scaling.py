@@ -49,6 +49,11 @@ class MinMaxScaler:
         self.upper = upper
         self._min: np.ndarray | None = None
         self._max: np.ndarray | None = None
+        # Fixed by ``fit``: the map's per-feature divisor, the mask of
+        # constant columns (None when there are none) and their value.
+        self._safe_span: np.ndarray | None = None
+        self._constant: np.ndarray | None = None
+        self._midpoint = 0.0
 
     def fit(self, x: np.ndarray) -> "MinMaxScaler":
         """Learn per-feature ranges from the training matrix."""
@@ -57,6 +62,11 @@ class MinMaxScaler:
             raise ValueError(f"expected non-empty 2-D matrix, got shape {arr.shape}")
         self._min = arr.min(axis=0)
         self._max = arr.max(axis=0)
+        span = self._max - self._min
+        constant = span <= 0
+        self._safe_span = np.where(constant, 1.0, span)
+        self._constant = constant if constant.any() else None
+        self._midpoint = 0.5 * (self.lower + self.upper)
         return self
 
     def transform(self, x: np.ndarray) -> np.ndarray:
@@ -68,13 +78,13 @@ class MinMaxScaler:
         if self._min is None or self._max is None:
             raise NotFittedError("MinMaxScaler.transform called before fit")
         arr, single = _as_rows(x, self._min.shape[0], "MinMaxScaler.transform")
-        span = self._max - self._min
-        constant = span <= 0
-        safe_span = np.where(constant, 1.0, span)
-        frac = (arr - self._min) / safe_span
-        out = self.lower + frac * (self.upper - self.lower)
-        midpoint = 0.5 * (self.lower + self.upper)
-        out[:, constant] = midpoint
+        # lower + ((arr − min) / safe_span)·(upper − lower), one buffer.
+        out = arr - self._min
+        np.divide(out, self._safe_span, out=out)
+        np.multiply(out, self.upper - self.lower, out=out)
+        np.add(out, self.lower, out=out)
+        if self._constant is not None:
+            np.copyto(out, self._midpoint, where=self._constant)
         return out[0] if single else out
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:

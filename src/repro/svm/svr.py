@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import NotFittedError
 from repro.svm.kernels import Kernel, RbfKernel
+from repro.svm.scaling import MinMaxScaler
 from repro.svm.smo import SmoResult, solve_svr_dual
 
 
@@ -53,6 +54,9 @@ class EpsilonSVR:
         self.on_no_convergence = on_no_convergence
         self._support_x: np.ndarray | None = None
         self._support_beta: np.ndarray | None = None
+        # The kernel's precomputed support-side state (for RBF, the
+        # support vectors' squared norms), set with the support vectors.
+        self._support_state: object = None
         self._bias = 0.0
         self._last_result: SmoResult | None = None
         # Reusable (2, d) scratch for single-row _decision padding; the
@@ -102,6 +106,7 @@ class EpsilonSVR:
         mask = result.support_mask
         self._support_x = x[mask]
         self._support_beta = result.beta[mask]
+        self._support_state = self.kernel.support_state(self._support_x)
         self._bias = result.bias
         self._last_result = result
         return self
@@ -162,21 +167,21 @@ class EpsilonSVR:
         depends on the row count). Together these make predictions
         bitwise reproducible across batch compositions.
         """
-        padded = block
-        if block.shape[0] == 1:
+        one_row = block.shape[0] == 1
+        if one_row:
             # Reuse a (2, d) scratch buffer across calls instead of
             # allocating a fresh vstack per single-row prediction; the
             # written values are identical, so the Gram block (and hence
             # the prediction) is bit-for-bit the same.
             pad = self._pad2
-            if pad is None or pad.shape[1] != block.shape[1] or pad.dtype != block.dtype:
-                pad = self._pad2 = np.empty((2, block.shape[1]), dtype=block.dtype)
-            pad[0] = block[0]
-            pad[1] = block[0]
-            padded = pad
-        gram = self.kernel.gram(padded, self._support_x)
-        values = np.einsum("ij,j->i", gram, self._support_beta) + self._bias
-        return values[:1] if block.shape[0] == 1 else values
+            if pad is None or pad.shape[1] != block.shape[1]:
+                pad = self._pad2 = np.empty((2, block.shape[1]))
+            pad[...] = block
+            block = pad
+        gram = self.kernel.support_gram(block, self._support_x, self._support_state)
+        values = np.einsum("ij,j->i", gram, self._support_beta)
+        np.add(values, self._bias, out=values)
+        return values[:1] if one_row else values
 
     # -- introspection ----------------------------------------------------------
 
@@ -223,3 +228,13 @@ class EpsilonSVR:
             f"EpsilonSVR(kernel={self.kernel.name}, c={self.c:g}, "
             f"epsilon={self.epsilon:g})"
         )
+
+
+def predict_scaled(scaler: MinMaxScaler, model: EpsilonSVR, x: np.ndarray) -> np.ndarray:
+    """ψ_stable forecasts for raw feature rows (or one 1-D row), always 1-D.
+
+    The svm-scale map, then the kernel expansion: the one prediction
+    tail that ``StableTemperaturePredictor`` and the serving registry's
+    ``ModelEntry`` share.
+    """
+    return np.atleast_1d(model.predict(scaler.transform(x)))
