@@ -115,10 +115,11 @@ class ServiceCostModel:
     The virtual-latency counterpart of the wall-clock path: one fixed
     dispatch overhead per batch plus a per-record cost for every unique
     record actually pushed through the SVR and a (much smaller)
-    per-lookup cost for cache hits. The defaults approximate the
-    measured single-record serving path (~0.25 ms/record of
-    featurize+scale+kernel under ~2 ms of per-call overhead); they shape
-    the p50/p99 scorecard, not any model output.
+    per-lookup cost for cache hits. The defaults are fixed virtual
+    constants, not a measurement of this code (a one-record miss costs
+    tens of microseconds of wall time): they keep replayed latencies
+    independent of the host, and they shape the p50/p99 scorecard, not
+    any model output.
     """
 
     dispatch_overhead_s: float = 2e-3
