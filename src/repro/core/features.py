@@ -89,6 +89,16 @@ class FeatureExtractor:
 
     def extract(self, record: ExperimentRecord) -> np.ndarray:
         """Feature vector for one record (1-D array)."""
+        return np.array(self._values(record), dtype=float)
+
+    def matrix(self, records: list[ExperimentRecord]) -> np.ndarray:
+        """Feature matrix for many records, shape (n_records, n_features)."""
+        if not records:
+            raise FeatureError("cannot build a feature matrix from zero records")
+        return np.array([self._values(r) for r in records], dtype=float)
+
+    def _values(self, record: ExperimentRecord) -> list[float]:
+        """One record's features, in :attr:`feature_names` order."""
         vms = record.vms
         n_vms = len(vms)
         total_vcpus = sum(vm.vcpus for vm in vms)
@@ -119,7 +129,7 @@ class FeatureExtractor:
         airflow = record.theta_fan_count * record.theta_fan_speed
         cooling_proxy = airflow ** (-COOLING_EXPONENT)
 
-        values = [
+        return [
             cores,
             record.theta_cpu_ghz,
             record.theta_memory_gb,
@@ -139,15 +149,6 @@ class FeatureExtractor:
             cooling_proxy,
             ghz_used * cooling_proxy,
         ] + [float(kind_counts[kind]) for kind in TASK_KINDS]
-        return np.array(values, dtype=float)
-
-    def matrix(self, records: list[ExperimentRecord]) -> np.ndarray:
-        """Feature matrix for many records, shape (n_records, n_features)."""
-        if not records:
-            raise FeatureError("cannot build a feature matrix from zero records")
-        if len(records) == 1:
-            return self.extract(records[0])[None, :]
-        return np.vstack([self.extract(r) for r in records])
 
     def targets(self, records: list[ExperimentRecord]) -> np.ndarray:
         """ψ_stable vector for records that carry outputs."""
