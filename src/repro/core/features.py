@@ -95,7 +95,10 @@ class FeatureExtractor:
         """Feature matrix for many records, shape (n_records, n_features)."""
         if not records:
             raise FeatureError("cannot build a feature matrix from zero records")
-        return np.array([self._values(r) for r in records], dtype=float)
+        out = np.empty((len(records), len(self._names)))
+        for i, record in enumerate(records):
+            out[i] = self._values(record)
+        return out
 
     def _values(self, record: ExperimentRecord) -> list[float]:
         """One record's features, in :attr:`feature_names` order."""

@@ -49,8 +49,8 @@ class MinMaxScaler:
         self.upper = upper
         self._min: np.ndarray | None = None
         self._max: np.ndarray | None = None
-        # Fixed by ``fit``: the map's per-feature divisor, the mask of
-        # constant columns (None when there are none) and their value.
+        # Fixed by ``fit``: the map's per-feature divisor, the indices
+        # of constant columns (None when there are none) and their value.
         self._safe_span: np.ndarray | None = None
         self._constant: np.ndarray | None = None
         self._midpoint = 0.0
@@ -65,7 +65,7 @@ class MinMaxScaler:
         span = self._max - self._min
         constant = span <= 0
         self._safe_span = np.where(constant, 1.0, span)
-        self._constant = constant if constant.any() else None
+        self._constant = np.flatnonzero(constant) if constant.any() else None
         self._midpoint = 0.5 * (self.lower + self.upper)
         return self
 
@@ -84,7 +84,7 @@ class MinMaxScaler:
         np.multiply(out, self.upper - self.lower, out=out)
         np.add(out, self.lower, out=out)
         if self._constant is not None:
-            np.copyto(out, self._midpoint, where=self._constant)
+            out[:, self._constant] = self._midpoint
         return out[0] if single else out
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
