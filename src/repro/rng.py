@@ -14,8 +14,9 @@ benchmarks rely on:
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -47,6 +48,28 @@ class RngStream:
         """Uniform integer in [low, high] inclusive."""
         return self._random.randint(low, high)
 
+    def int_sampler(self, n: int) -> Callable[[], int]:
+        """A zero-argument sampler of uniform integers in ``[0, n)``.
+
+        Each call draws the value, and advances the stream exactly as,
+        ``randint(0, n - 1)`` would: CPython's rejection loop over
+        ``getrandbits(n.bit_length())``, without the ``randint`` →
+        ``randrange`` → ``_randbelow`` call layers. For hot loops that
+        draw many integers below one bound.
+        """
+        if n < 1:
+            raise ValueError(f"int_sampler needs n >= 1, got {n}")
+        getrandbits = self._random.getrandbits
+        k = n.bit_length()
+
+        def draw() -> int:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return r
+
+        return draw
+
     def gauss(self, mean: float = 0.0, std: float = 1.0) -> float:
         """Gaussian sample."""
         return self._random.gauss(mean, std)
@@ -54,6 +77,17 @@ class RngStream:
     def expovariate(self, rate: float) -> float:
         """Exponential sample with the given rate (1/mean)."""
         return self._random.expovariate(rate)
+
+    def expovariates(self, rate: float, n: int) -> list[float]:
+        """``n`` successive :meth:`expovariate` draws at one rate.
+
+        The same values and stream state as calling ``expovariate(rate)``
+        ``n`` times (CPython's ``-log(1 - random()) / rate``), without
+        two call layers per draw.
+        """
+        uniform = self._random.random
+        log = math.log
+        return [-log(1.0 - uniform()) / rate for _ in range(n)]
 
     def choice(self, items: list) -> object:
         """Uniformly pick one item of a non-empty list."""

@@ -491,17 +491,18 @@ def serve_trace(frontend: PredictionFrontend, trace) -> list[Ticket]:
     request's arrival (polling expired budgets on the way), every request
     is submitted, and the queue is flushed at the trace's end. Returns
     the tickets in trace order, all answered; the latency scorecard is
-    on ``frontend.ledger``.
+    on ``frontend.ledger``. The trace's columns are iterated directly,
+    without building row views.
     """
     tickets: list[Ticket] = []
     advance_to = frontend.clock.advance_to  # hot loop: bind lookups once
     poll = frontend.poll
     submit = frontend.submit
     append = tickets.append
-    for request in trace.requests:
-        advance_to(request.arrival_s)
+    for arrival_s, key, record in zip(trace.arrivals_s, trace.keys, trace.records):
+        advance_to(arrival_s)
         poll()
-        append(submit(request.key, request.record))
+        append(submit(key, record))
     advance_to(trace.duration_s)
     frontend.flush()
     return tickets
@@ -524,18 +525,17 @@ def serve_naive(
     """
     costs = cost_model or ServiceCostModel()
     ledger = ServingLedger()
-    psi_c = np.empty(len(trace.requests), dtype=float)
+    psi_c = np.empty(trace.n_requests, dtype=float)
     service_s = costs.batch_service_s(1, 0)
     record_request = ledger.record_request
     add_batch = ledger.add_batch
-    for index, request in enumerate(trace.requests):
-        psi_c[index] = predict_batch(
-            registry, [PredictionRequest(request.key, request.record)]
-        )[0]
+    columns = zip(trace.arrivals_s, trace.keys, trace.records)
+    for index, (arrival_s, key, record) in enumerate(columns):
+        psi_c[index] = predict_batch(registry, [PredictionRequest(key, record)])[0]
         add_batch(
             BatchRecord(
                 batch_index=index,
-                dispatch_s=request.arrival_s,
+                dispatch_s=arrival_s,
                 size=1,
                 unique_computed=1,
                 cache_hits=0,
@@ -544,10 +544,10 @@ def serve_naive(
         )
         record_request(
             index,
-            request.key,
-            request.arrival_s,
-            request.arrival_s,
-            request.arrival_s + service_s,
+            key,
+            arrival_s,
+            arrival_s,
+            arrival_s + service_s,
             index,
             1,
             False,

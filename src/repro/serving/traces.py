@@ -27,8 +27,11 @@ downstream:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 from repro.core.records import ExperimentRecord
 from repro.errors import ConfigurationError
@@ -46,7 +49,7 @@ ARRIVALS = ("uniform", "poisson", "bursts")
 
 @dataclass(frozen=True)
 class TracedRequest:
-    """One single-record prediction request at a virtual arrival time."""
+    """One single-record prediction request: a row view of a trace."""
 
     arrival_s: float
     key: str
@@ -55,7 +58,15 @@ class TracedRequest:
 
 @dataclass(frozen=True)
 class RequestTrace:
-    """A replayable, sorted stream of prediction requests.
+    """A replayable, sorted stream of prediction requests, stored as columns.
+
+    Request ``i`` arrives at ``arrivals_s[i]`` and asks the ``keys[i]``
+    model about ``records[i]``. The key and record columns hold
+    references to shared key strings and interned records, and the
+    arrivals are one ``array('d')``, so a trace costs what its columns
+    cost. :class:`TracedRequest` is the row view: :attr:`requests`
+    materializes it on demand for tests and offline analysis, while the
+    replay drivers iterate the columns.
 
     Validates the two properties the front-end's queue depends on:
     arrivals are non-decreasing and live in ``[0, duration_s)``.
@@ -63,53 +74,73 @@ class RequestTrace:
 
     name: str
     duration_s: float
-    requests: tuple[TracedRequest, ...]
+    arrivals_s: Sequence[float]
+    keys: Sequence[str]
+    records: Sequence[ExperimentRecord]
 
     def __post_init__(self) -> None:
         if not self.duration_s > 0.0:
             raise ConfigurationError(
                 f"trace duration must be > 0, got {self.duration_s}"
             )
-        previous_s = 0.0
-        for index, request in enumerate(self.requests):
-            if not 0.0 <= request.arrival_s < self.duration_s:
-                raise ConfigurationError(
-                    f"trace {self.name!r}: request {index} arrives at "
-                    f"{request.arrival_s}s, outside [0, {self.duration_s}s)"
-                )
-            if request.arrival_s < previous_s:
-                raise ConfigurationError(
-                    f"trace {self.name!r}: request {index} arrives at "
-                    f"{request.arrival_s}s, before its predecessor at "
-                    f"{previous_s}s — traces must be sorted"
-                )
-            previous_s = request.arrival_s
+        object.__setattr__(self, "arrivals_s", array("d", self.arrivals_s))
+        object.__setattr__(self, "keys", tuple(self.keys))
+        object.__setattr__(self, "records", tuple(self.records))
+        arrivals_s = self.arrivals_s
+        n_requests = len(arrivals_s)
+        if not len(self.keys) == len(self.records) == n_requests:
+            raise ConfigurationError(
+                f"trace {self.name!r}: column lengths differ ({n_requests} "
+                f"arrivals, {len(self.keys)} keys, {len(self.records)} records)"
+            )
+        column = np.frombuffer(arrivals_s, dtype=float)
+        outside = ~((column >= 0.0) & (column < self.duration_s))
+        bad = outside.copy()
+        bad[1:] |= column[1:] < column[:-1]
+        if not bad.any():
+            return
+        index = int(np.argmax(bad))
+        if outside[index]:
+            raise ConfigurationError(
+                f"trace {self.name!r}: request {index} arrives at "
+                f"{arrivals_s[index]}s, outside [0, {self.duration_s}s)"
+            )
+        raise ConfigurationError(
+            f"trace {self.name!r}: request {index} arrives at "
+            f"{arrivals_s[index]}s, before its predecessor at "
+            f"{arrivals_s[index - 1]}s — traces must be sorted"
+        )
+
+    @property
+    def requests(self) -> tuple[TracedRequest, ...]:
+        """Per-request rows, materialized from the columns on demand."""
+        return tuple(map(TracedRequest, self.arrivals_s, self.keys, self.records))
 
     @property
     def n_requests(self) -> int:
         """Number of requests in the trace."""
-        return len(self.requests)
+        return len(self.keys)
 
     @property
     def mean_rate_per_s(self) -> float:
         """Mean request arrival rate over the trace window."""
-        return len(self.requests) / self.duration_s
+        return len(self.keys) / self.duration_s
 
 
 def _arrival_times(
     factory: RngFactory, arrival: str, n_requests: int, duration_s: float
-) -> list[float]:
+) -> array:
     """Sorted arrival offsets in ``[0, duration_s)`` for one arrival mode."""
     stream = factory.stream(f"trace/arrivals/{arrival}")
     if arrival == "uniform":
-        return [duration_s * i / n_requests for i in range(n_requests)]
+        return array("d", [duration_s * i / n_requests for i in range(n_requests)])
     if arrival == "poisson":
         # Unit-rate exponential gaps rescaled onto the window: keeps the
         # Poisson shape while guaranteeing the last arrival lands inside.
-        gaps = [stream.expovariate(1.0) for _ in range(n_requests)]
+        gaps = stream.expovariates(1.0, n_requests)
         total = sum(gaps)
         scale = duration_s * (n_requests / (n_requests + 1)) / total
-        arrivals: list[float] = []
+        arrivals = array("d")
         elapsed = 0.0
         for gap in gaps:
             elapsed += gap * scale
@@ -120,13 +151,14 @@ def _arrival_times(
         # of requests — the flash-crowd shape micro-batching likes best.
         n_centers = max(1, n_requests // 64)
         centers = [stream.uniform(0.0, 0.95 * duration_s) for _ in range(n_centers)]
-        arrivals = []
-        for index in range(n_requests):
-            center = centers[index % n_centers]
-            offset = stream.expovariate(100.0)
-            arrivals.append(min(center + offset, duration_s * (1.0 - 1e-9)))
-        arrivals.sort()
-        return arrivals
+        last_s = duration_s * (1.0 - 1e-9)
+        offsets = stream.expovariates(100.0, n_requests)
+        arrivals_s = [
+            min(centers[index % n_centers] + offset, last_s)
+            for index, offset in enumerate(offsets)
+        ]
+        arrivals_s.sort()
+        return array("d", arrivals_s)
     raise ConfigurationError(
         f"unknown arrival mode {arrival!r}; choose one of {ARRIVALS}"
     )
@@ -215,21 +247,28 @@ def trace_from_scenario(
     n_hot = max(1, round(hot_fraction * n_servers))
     hot_set = [int(i) for i in order[:n_hot]]
 
-    arrivals = _arrival_times(factory, arrival, n_requests, window_s)
-    requests: list[TracedRequest] = []
+    arrivals_s = _arrival_times(factory, arrival, n_requests, window_s)
+    request_keys: list[str] = []
+    request_records: list[ExperimentRecord] = []
+    random = targets_stream.random  # hot loop: bind the draws once
+    draw_hot = targets_stream.int_sampler(n_hot)
+    draw_server = targets_stream.int_sampler(n_servers)
+    draw_flavor = (
+        targets_stream.int_sampler(len(flavor_pool)) if flavor_pool else None
+    )
     # Repeated (server, flavor) what-if combinations reuse one interned
     # record object: the values would be identical anyway (so this
     # changes nothing downstream), and object reuse is what production
     # clients resubmitting the same query look like to the front-end.
     whatif_records: dict[tuple[int, int], ExperimentRecord] = {}
-    for arrival_s in arrivals:
-        if targets_stream.random() < hot_weight:
-            server_index = hot_set[targets_stream.randint(0, n_hot - 1)]
+    for _ in range(n_requests):
+        if random() < hot_weight:
+            server_index = hot_set[draw_hot()]
         else:
-            server_index = targets_stream.randint(0, n_servers - 1)
+            server_index = draw_server()
         record = base_records[server_index]
-        if flavor_pool and targets_stream.random() < whatif_fraction:
-            flavor_index = targets_stream.randint(0, len(flavor_pool) - 1)
+        if draw_flavor is not None and random() < whatif_fraction:
+            flavor_index = draw_flavor()
             interned = whatif_records.get((server_index, flavor_index))
             if interned is None:
                 interned = ExperimentRecord(
@@ -245,15 +284,12 @@ def trace_from_scenario(
                 )
                 whatif_records[(server_index, flavor_index)] = interned
             record = interned
-        requests.append(
-            TracedRequest(
-                arrival_s=arrival_s,
-                key=keys[server_index],
-                record=record,
-            )
-        )
+        request_keys.append(keys[server_index])
+        request_records.append(record)
     return RequestTrace(
         name=f"{scenario.name}/{arrival}",
         duration_s=window_s,
-        requests=tuple(requests),
+        arrivals_s=arrivals_s,
+        keys=request_keys,
+        records=request_records,
     )

@@ -21,7 +21,7 @@ from repro.serving.frontend import (
 )
 from repro.serving.ledger import BatchRecord, RequestRecord
 from repro.serving.registry import ModelRegistry
-from repro.serving.traces import RequestTrace, TracedRequest
+from repro.serving.traces import RequestTrace
 from tests.conftest import make_record
 
 
@@ -214,14 +214,9 @@ class TestBatchParity:
         trace = RequestTrace(
             name="manual",
             duration_s=1.0,
-            requests=tuple(
-                TracedRequest(
-                    arrival_s=0.05 * i,
-                    key="default" if i % 3 else "hot-aisle",
-                    record=records[i],
-                )
-                for i in range(12)
-            ),
+            arrivals_s=[0.05 * i for i in range(12)],
+            keys=["default" if i % 3 else "hot-aisle" for i in range(12)],
+            records=records,
         )
         frontend = PredictionFrontend(
             registry, FrontendConfig(max_batch=4, max_wait_s=0.08)

@@ -1,5 +1,8 @@
 """Tests for scenario-derived request traces."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -26,23 +29,74 @@ def scenario():
 class TestRequestTraceValidation:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ConfigurationError, match="duration"):
-            RequestTrace(name="t", duration_s=0.0, requests=())
+            RequestTrace(
+                name="t", duration_s=0.0, arrivals_s=(), keys=(), records=()
+            )
 
     def test_rejects_out_of_window_arrival(self):
-        request = TracedRequest(
-            arrival_s=5.0, key=DEFAULT_KEY, record=make_record(psi=None)
-        )
         with pytest.raises(ConfigurationError, match="outside"):
-            RequestTrace(name="t", duration_s=5.0, requests=(request,))
+            RequestTrace(
+                name="t",
+                duration_s=5.0,
+                arrivals_s=(5.0,),
+                keys=(DEFAULT_KEY,),
+                records=(make_record(psi=None),),
+            )
 
     def test_rejects_unsorted_arrivals(self):
         record = make_record(psi=None)
-        requests = (
-            TracedRequest(arrival_s=2.0, key=DEFAULT_KEY, record=record),
-            TracedRequest(arrival_s=1.0, key=DEFAULT_KEY, record=record),
-        )
         with pytest.raises(ConfigurationError, match="sorted"):
-            RequestTrace(name="t", duration_s=5.0, requests=requests)
+            RequestTrace(
+                name="t",
+                duration_s=5.0,
+                arrivals_s=(2.0, 1.0),
+                keys=(DEFAULT_KEY, DEFAULT_KEY),
+                records=(record, record),
+            )
+
+    def test_reports_first_offending_request(self):
+        record = make_record(psi=None)
+        with pytest.raises(ConfigurationError, match="request 2 .* predecessor"):
+            RequestTrace(
+                name="t",
+                duration_s=5.0,
+                arrivals_s=(1.0, 2.0, 1.5, 9.0),
+                keys=(DEFAULT_KEY,) * 4,
+                records=(record,) * 4,
+            )
+        with pytest.raises(ConfigurationError, match="request 1 .* outside"):
+            RequestTrace(
+                name="t",
+                duration_s=5.0,
+                arrivals_s=(1.0, float("nan"), 0.5),
+                keys=(DEFAULT_KEY,) * 3,
+                records=(record,) * 3,
+            )
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ConfigurationError, match="column lengths"):
+            RequestTrace(
+                name="t",
+                duration_s=5.0,
+                arrivals_s=(1.0, 2.0),
+                keys=(DEFAULT_KEY,),
+                records=(make_record(psi=None),) * 2,
+            )
+
+    def test_requests_are_row_views_of_the_columns(self):
+        records = (make_record(psi=None), make_record(psi=None, n_vms=4))
+        trace = RequestTrace(
+            name="t",
+            duration_s=5.0,
+            arrivals_s=[0.5, 1.5],
+            keys=["a", "b"],
+            records=records,
+        )
+        assert trace.requests == (
+            TracedRequest(arrival_s=0.5, key="a", record=records[0]),
+            TracedRequest(arrival_s=1.5, key="b", record=records[1]),
+        )
+        assert trace.requests[1].record is records[1]
 
 
 class TestTraceFromScenario:
@@ -121,3 +175,24 @@ class TestTraceFromScenario:
             trace_from_scenario(scenario, 10, hot_weight=1.5)
         with pytest.raises(ConfigurationError, match="whatif_fraction"):
             trace_from_scenario(scenario, 10, whatif_fraction=-0.1)
+
+
+def test_trace_holds_columns_not_request_objects(scenario):
+    """A trace costs its three columns plus the interned what-if records.
+
+    Measured at 41.6 held bytes per request (24.8 without what-ifs); a
+    frozen object per request held 145.6.
+    """
+    trace_from_scenario(scenario, 100, seed=3)  # warm any lazy caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = trace_from_scenario(
+            scenario, 20_000, duration_s=50.0, seed=3, key_fn=server_class_key
+        )
+        gc.collect()
+        held_bytes, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.n_requests == 20_000
+    assert held_bytes / trace.n_requests < 64.0

@@ -58,6 +58,42 @@ class TestRngStream:
         assert var == pytest.approx(4.0, rel=0.15)
 
 
+class TestBulkDraws:
+    """The hot-loop helpers replay ``random.Random`` draw for draw."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 127, 128, 129, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 97, 2024])
+    def test_int_sampler_matches_randint(self, seed, n):
+        sampled = RngStream(seed, "bounded")
+        reference = RngStream(seed, "bounded")
+        draw = sampled.int_sampler(n)
+        values = [draw() for _ in range(500)]
+        assert values == [reference.randint(0, n - 1) for _ in range(500)]
+        assert sampled.getstate() == reference.getstate()
+
+    def test_int_sampler_interleaves_with_other_draws(self):
+        sampled = RngStream(5, "mixed")
+        reference = RngStream(5, "mixed")
+        draw = sampled.int_sampler(129)
+        values = [(sampled.random(), draw()) for _ in range(200)]
+        assert values == [
+            (reference.random(), reference.randint(0, 128)) for _ in range(200)
+        ]
+        assert sampled.getstate() == reference.getstate()
+
+    def test_int_sampler_rejects_empty_range(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            RngStream(1, "empty").int_sampler(0)
+
+    @pytest.mark.parametrize("rate", [1.0, 100.0, 0.3])
+    def test_expovariates_match_expovariate(self, rate):
+        sampled = RngStream(11, "exp")
+        reference = RngStream(11, "exp")
+        values = sampled.expovariates(rate, 1000)
+        assert values == [reference.expovariate(rate) for _ in range(1000)]
+        assert sampled.getstate() == reference.getstate()
+
+
 class TestRngFactory:
     def test_stream_cached(self):
         factory = RngFactory(5)
