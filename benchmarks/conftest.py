@@ -4,9 +4,10 @@ Each benchmark regenerates one of the paper's tables/figures (or one of
 our ablations) and asserts the *shape* of the result — who wins, rough
 factors, monotone trends — per the reproduction contract in DESIGN.md.
 
-Result tables are echoed in the pytest terminal summary and written to
-the git-ignored ``.benchmarks/`` directory, so an ordinary test run
-never rewrites committed files. The committed copies in
+Result tables, recorded through :mod:`benchmarks.reporting`, are echoed
+in the pytest terminal summary and written to the git-ignored
+``.benchmarks/`` directory, so an ordinary test run never rewrites
+committed files. The committed copies in
 ``benchmark_results/`` change only through the regenerate command::
 
     PYTHONPATH=src python -m pytest benchmarks -q --regenerate-results
@@ -14,56 +15,12 @@ never rewrites committed files. The committed copies in
 
 from __future__ import annotations
 
-import re
-from pathlib import Path
-
 import pytest
 
+from benchmarks import reporting
 from repro.experiments.figures import train_default_stable_model
 from repro.experiments.runner import profile_records
 from repro.experiments.scenarios import random_scenarios
-
-ROOT = Path(__file__).resolve().parent.parent
-#: The committed result files, rewritten only with ``--regenerate-results``.
-COMMITTED_RESULTS_DIR = ROOT / "benchmark_results"
-#: Where results go on an ordinary run (git-ignored).
-RESULTS_DIR = ROOT / ".benchmarks"
-
-_tables: list[tuple[str, str]] = []
-
-
-def slugify_title(title: str) -> str:
-    """Benchmark title → portable filename stem.
-
-    Only ``[a-z0-9-]`` survives (runs of anything else collapse to one
-    ``_``): colons and parentheses are invalid in Windows filenames, and
-    the historical ``title.lower().replace(" ", "_")`` slugs produced
-    names like ``ablation:_calibration_learning_rate.txt``.
-    """
-    slug = re.sub(r"[^a-z0-9-]+", "_", title.lower()).strip("_")
-    return slug or "untitled"
-
-
-def record_table(title: str, text: str) -> None:
-    """Register a result table for the terminal summary and write it out."""
-    _tables.append((title, text))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{slugify_title(title)}.txt").write_text(text + "\n")
-
-
-def record_json(filename: str, payload: dict) -> None:
-    """Write a machine-readable benchmark result to :data:`RESULTS_DIR`.
-
-    Companion to :func:`record_table` for results that downstream tooling
-    (CI trend tracking, the scale-sweep gate) consumes programmatically;
-    ``filename`` is taken verbatim (e.g. ``BENCH_fleetstate.json``).
-    """
-    import json
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / filename).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
 
 
 def pytest_addoption(parser):
@@ -75,17 +32,16 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    global RESULTS_DIR
     if config.getoption("--regenerate-results", default=False):
-        RESULTS_DIR = COMMITTED_RESULTS_DIR
+        reporting.RESULTS_DIR = reporting.COMMITTED_RESULTS_DIR
 
 
 def pytest_terminal_summary(terminalreporter):
-    if not _tables:
+    if not reporting.tables:
         return
     terminalreporter.ensure_newline()
     terminalreporter.section("reproduction results (paper vs measured)")
-    for title, text in _tables:
+    for title, text in reporting.tables:
         terminalreporter.write_line("")
         terminalreporter.write_line(f"== {title} ==")
         for line in text.splitlines():

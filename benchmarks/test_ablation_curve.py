@@ -11,7 +11,7 @@ from repro.config import PredictionConfig
 from repro.experiments.figures import build_fig1b
 from repro.experiments.reporting import ascii_table
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 
 T_BREAKS = (150.0, 300.0, 600.0, 1200.0)
 DELTAS = (0.005, 0.02, 0.05, 0.2, 1.0)

@@ -16,7 +16,7 @@ from repro.svm.ridge import KernelRidge
 from repro.svm.scaling import MinMaxScaler
 from repro.svm.svr import EpsilonSVR
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 
 
 def test_ablation_kernels(benchmark, labelled_records):

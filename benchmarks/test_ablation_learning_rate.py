@@ -9,7 +9,7 @@ from repro.config import PredictionConfig
 from repro.experiments.figures import build_fig1b
 from repro.experiments.reporting import ascii_table
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 
 LAMBDAS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 

@@ -12,7 +12,7 @@ from repro.core.pipeline import train_stable_predictor
 from repro.experiments.reporting import ascii_table
 from repro.rng import RngFactory
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 
 
 def test_baseline_comparison(benchmark, labelled_records, heldout_records):

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 from repro.core.stable import StableTemperaturePredictor
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.server import Server

@@ -21,7 +21,7 @@ from repro.rng import RngFactory
 from repro.thermal.environment import ConstantEnvironment
 from tests.conftest import make_server_spec, make_vm
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 
 N_SERVERS = 8
 N_VMS = 28

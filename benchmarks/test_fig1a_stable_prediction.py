@@ -12,7 +12,7 @@ and the 20 held-out cases are predicted.
 from repro.experiments.figures import build_fig1a
 from repro.experiments.reporting import format_fig1a
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 
 
 def test_fig1a_stable_prediction(benchmark):

@@ -8,7 +8,7 @@ set changes at runtime (here: a live migration lands mid-run).
 from repro.experiments.figures import build_fig1b
 from repro.experiments.reporting import format_fig1b
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 
 
 def test_fig1b_dynamic_case_study(benchmark, stable_model):

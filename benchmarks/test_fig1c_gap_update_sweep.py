@@ -13,7 +13,7 @@ shape the paper's figure shows.
 from repro.experiments.figures import build_fig1c
 from repro.experiments.reporting import format_fig1c
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 
 
 def test_fig1c_gap_update_sweep(benchmark, stable_model):

@@ -5,7 +5,7 @@ Documents the headline claim of the vectorized co-simulation path: at
 the seed per-server loop, with bit-identical thermal trajectories. Also
 records raw plant-step throughput (engine vs. scalar plants) and the
 large-scale scenario walltimes through the shared reporting hook
-(``benchmarks/conftest.py``).
+(``benchmarks/reporting.py``).
 """
 
 import statistics
@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.server import Server
 from repro.datacenter.simulation import DatacenterSimulation

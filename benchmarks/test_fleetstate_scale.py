@@ -19,7 +19,7 @@ import os
 import statistics
 import time
 
-from benchmarks.conftest import record_json, record_table
+from benchmarks.reporting import record_json, record_table
 from repro.experiments.scenarios import (
     build_fleet_simulation,
     diurnal_fleet_scenario,

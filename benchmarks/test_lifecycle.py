@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 from repro.control import run_closed_loop
 from repro.experiments.scenarios import (
     class_balanced_fleet_scenario,

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 from repro.config import PredictionConfig
 from repro.core.curve import PredefinedCurve
 from repro.core.dynamic import DynamicTemperaturePredictor

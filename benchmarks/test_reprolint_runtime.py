@@ -19,7 +19,7 @@ import os
 import time
 from pathlib import Path
 
-from benchmarks.conftest import record_json, record_table
+from benchmarks.reporting import record_json, record_table
 
 from tools.reprolint import run_lint
 

@@ -16,7 +16,7 @@ import time
 from repro.experiments.reporting import ascii_table
 from repro.scenarios import ScenarioFuzzer, run_with_invariants
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 
 SMOKE = bool(os.environ.get("SCENARIO_BENCH_SMOKE"))
 N_COMPILE = 40 if SMOKE else 200

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import record_json, record_table
+from benchmarks.reporting import record_json, record_table
 from repro.core.stable import StableTemperaturePredictor
 from repro.experiments.scenarios import class_balanced_fleet_scenario
 from repro.serving.frontend import (

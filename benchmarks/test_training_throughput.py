@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import record_table
+from benchmarks.reporting import record_table
 from repro.core.features import FeatureExtractor
 from repro.core.stable import StableTemperaturePredictor
 from repro.experiments.figures import (
