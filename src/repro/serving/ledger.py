@@ -35,7 +35,11 @@ from repro.errors import ServingError
 
 @dataclass(frozen=True)
 class RequestRecord:
-    """One answered request's lifecycle timestamps and batch membership."""
+    """One answered request's lifecycle timestamps and batch membership.
+
+    A row view rebuilt from columns :meth:`ServingLedger.record_request`
+    already validated.
+    """
 
     request_id: int
     key: str
@@ -45,23 +49,6 @@ class RequestRecord:
     batch_index: int
     batch_size: int
     cache_hit: bool
-
-    def __post_init__(self) -> None:
-        if self.dispatch_s < self.arrival_s:
-            raise ServingError(
-                f"request {self.request_id}: dispatched at {self.dispatch_s} "
-                f"before its arrival at {self.arrival_s}"
-            )
-        if self.completion_s < self.dispatch_s:
-            raise ServingError(
-                f"request {self.request_id}: completed at {self.completion_s} "
-                f"before its dispatch at {self.dispatch_s}"
-            )
-        if self.batch_size < 1:
-            raise ServingError(
-                f"request {self.request_id}: batch_size must be >= 1, "
-                f"got {self.batch_size}"
-            )
 
     @property
     def queue_wait_s(self) -> float:
@@ -135,9 +122,10 @@ class ServingLedger:
     ) -> None:
         """Append one answered request (columnar hot path).
 
-        Field-for-field the same row :meth:`add_request` appends, with
-        the same lifecycle validation — just without constructing an
-        intermediate :class:`RequestRecord` per request.
+        The only write path for request rows, so the lifecycle checks
+        (dispatch after arrival, completion after dispatch, a batch of
+        at least one) live here and not on the :class:`RequestRecord`
+        view.
         """
         if dispatch_s < arrival_s:
             raise ServingError(
@@ -162,19 +150,6 @@ class ServingLedger:
         self._batch_indices.append(batch_index)
         self._batch_sizes.append(batch_size)
         self._cache_hits.append(cache_hit)
-
-    def add_request(self, record: RequestRecord) -> None:
-        """Append one answered request from its row view."""
-        self.record_request(
-            record.request_id,
-            record.key,
-            record.arrival_s,
-            record.dispatch_s,
-            record.completion_s,
-            record.batch_index,
-            record.batch_size,
-            record.cache_hit,
-        )
 
     # reprolint: waive R004 -- appends one BatchRecord row; "batch" names
     # the ledger entity being recorded, not a vectorized variant of add.

@@ -23,17 +23,16 @@ swaps. Callers that resolved an entry before a swap keep a fully
 functional (superseded) model — mid-batch readers never observe a
 half-published state.
 
-Snapshots are deduplicated by source object: registering ten class
-models that share one live scaler produces ten entries sharing one
-frozen scaler copy, and passing a registry-owned component back (e.g.
-``base.scaler``) shares it as-is.
+A component that is already part of some entry (e.g. ``base.scaler``,
+passed back to register another class on the same svm-scale map) is
+shared as-is; anything else is copied on registration. Ownership is
+read off the entries themselves, so there is no cache to keep fresh
+and a registry serializes and deep-copies like any plain value.
 """
 
 from __future__ import annotations
 
 import copy
-import pickle
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +95,10 @@ class ModelRegistry:
         registry.alias("rack-a/16-core", "default")   # follows "default"
         psi = registry.resolve("rack-b/unknown").predict_records(records)
         registry.swap("default", retrained_predictor)  # version 2, atomic
+
+    Every component an entry holds is registry-owned: a caller's object
+    is copied when it is registered, and a component some entry already
+    holds is shared (see :meth:`_freeze`).
     """
 
     def __init__(self) -> None:
@@ -103,111 +106,44 @@ class ModelRegistry:
         self._models: dict[str, list[ModelEntry]] = {}
         #: Alias key → target key (possibly itself an alias).
         self._aliases: dict[str, str] = {}
-        #: id(source component) → (weakref to source, frozen snapshot,
-        #: fingerprint of the source's state when frozen). Lets many
-        #: keys registered from one live scaler/extractor/SVR share a
-        #: single frozen copy, and makes passing a registry-owned
-        #: component back a no-op share. Sources are held *weakly* so
-        #: single-use sources (e.g. a retrainer's throwaway refits) do
-        #: not pile up over a long-running lifecycle — dead entries are
-        #: pruned on each freeze, and a dead weakref also neutralises
-        #: the id-reuse hazard (the stale key is discarded, never
-        #: matched). The fingerprint guards the dedup against in-place
-        #: mutation: a source refit *after* it was frozen must produce
-        #: a fresh snapshot, not the stale cached one.
-        self._snapshots: dict[
-            int, tuple[weakref.ref, object, bytes | None]
-        ] = {}
 
     # -- snapshotting --------------------------------------------------------
 
-    @staticmethod
-    def _fingerprint(component) -> bytes | None:
-        """Serialized state used to detect in-place mutation of a cached
-        source; ``None`` (unpicklable component) disables dedup for it —
-        conservative: every use then freezes a fresh copy."""
-        try:
-            return pickle.dumps(component, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:  # pragma: no cover - exotic custom components
-            return None
-
-    def _prune_snapshots(self) -> None:
-        """Drop cache entries whose source has been garbage collected."""
-        dead = [key for key, (ref, _, _) in self._snapshots.items() if ref() is None]
-        for key in dead:
-            del self._snapshots[key]
-
     def _freeze(self, component):
-        """Frozen, registry-owned copy of a fitted component.
+        """Registry-owned form of a fitted component.
 
-        Deduplicated by source object *and* fitted state: a cache hit is
-        honoured only while the source is alive and still carries the
-        state it had when frozen, so refitting a registered object in
-        place and passing it to :meth:`swap_model` publishes the refit
-        state, not the stale snapshot.
+        A component that is already the extractor, scaler or model of
+        any version of any entry is shared as-is. Anything else is a
+        caller's live object and is deep-copied, so refitting it in
+        place later cannot change what an entry serves.
         """
-        self._prune_snapshots()
-        fingerprint = self._fingerprint(component)
-        cached = self._snapshots.get(id(component))
-        if (
-            cached is not None
-            and cached[0]() is component
-            and fingerprint is not None
-            and cached[2] == fingerprint
-        ):
-            # Slot 1 is None for a self-entry: the component IS the
-            # registry-owned snapshot, shared as-is.
-            return cached[1] if cached[1] is not None else component
-        snapshot = copy.deepcopy(component)
-        self._snapshots[id(component)] = (
-            weakref.ref(component),
-            snapshot,
-            fingerprint,
-        )
-        # The snapshot itself is registry-owned: passing it back (e.g.
-        # ``base.scaler`` from a previous entry) shares it as-is. The
-        # self-entry holds the snapshot only weakly (slot 1 None), so it
-        # lives exactly as long as some version retains the snapshot —
-        # then the weakref dies and the entry is pruned. The source's
-        # fingerprint doubles as the snapshot's (it is a fresh deepcopy
-        # of that exact state); a benign serialization difference would
-        # only cost one extra copy on a later pass-back, never a stale
-        # share.
-        self._snapshots[id(snapshot)] = (
-            weakref.ref(snapshot),
-            None,
-            fingerprint,
-        )
-        return snapshot
-
-    def __deepcopy__(self, memo) -> "ModelRegistry":
-        """Deep copy with a rebuilt snapshot cache.
-
-        A naive deepcopy would carry over cache keys holding the
-        *originals'* ids while pinning only the copies — once the
-        originals are garbage collected those integer keys can alias
-        recycled addresses of unrelated objects. The copy instead
-        re-owns its own components: entries (and their sharing
-        structure, via ``memo``) are deep-copied, and the cache is
-        rebuilt to self-map exactly the copied components.
-        """
-        clone = ModelRegistry()
-        memo[id(self)] = clone
-        clone._models = {
-            key: [copy.deepcopy(entry, memo) for entry in versions]
-            for key, versions in self._models.items()
-        }
-        clone._aliases = dict(self._aliases)
-        for versions in clone._models.values():
+        for versions in self._models.values():
             for entry in versions:
-                for component in (entry.extractor, entry.scaler, entry.model):
-                    if id(component) not in clone._snapshots:
-                        clone._snapshots[id(component)] = (
-                            weakref.ref(component),
-                            None,  # self-entry: the component is the snapshot
-                            clone._fingerprint(component),
-                        )
-        return clone
+                if (
+                    component is entry.extractor
+                    or component is entry.scaler
+                    or component is entry.model
+                ):
+                    return component
+        return copy.deepcopy(component)
+
+    def _successor(
+        self,
+        current: ModelEntry,
+        model: EpsilonSVR,
+        scaler: MinMaxScaler | None,
+        extractor: FeatureExtractor | None,
+        version: int,
+    ) -> ModelEntry:
+        """Entry serving ``model``; omitted components carry ``current``'s forward."""
+        return ModelEntry(
+            extractor=(
+                current.extractor if extractor is None else self._freeze(extractor)
+            ),
+            scaler=current.scaler if scaler is None else self._freeze(scaler),
+            model=self._freeze(model),
+            version=version,
+        )
 
     # -- registration -------------------------------------------------------
 
@@ -237,10 +173,10 @@ class ModelRegistry:
     ) -> ModelEntry:
         """Register raw fitted components under ``key`` (version 1).
 
-        Components are snapshotted (deduplicated by source object):
-        passing another entry's ``scaler`` (or ``extractor``) shares the
-        frozen copy, which is how per-class models trained on one
-        svm-scale map are deployed.
+        Components are snapshotted, except that passing another entry's
+        ``scaler`` (or ``extractor``) shares that entry's frozen copy,
+        which is how per-class models trained on one svm-scale map are
+        deployed.
         """
         if not key:
             raise ServingError("model key must be non-empty")
@@ -294,13 +230,8 @@ class ModelRegistry:
                 f"registered keys: {self.keys()}"
             )
         current = versions[-1]
-        entry = ModelEntry(
-            extractor=(
-                current.extractor if extractor is None else self._freeze(extractor)
-            ),
-            scaler=current.scaler if scaler is None else self._freeze(scaler),
-            model=self._freeze(model),
-            version=current.version + 1,
+        entry = self._successor(
+            current, model, scaler, extractor, version=current.version + 1
         )
         versions.append(entry)
         return entry
@@ -327,14 +258,8 @@ class ModelRegistry:
                 f"cannot promote {key!r}: not an alias"
                 + (" (already a model key)" if key in self._models else "")
             )
-        current = self._require(target)
-        entry = ModelEntry(
-            extractor=(
-                current.extractor if extractor is None else self._freeze(extractor)
-            ),
-            scaler=current.scaler if scaler is None else self._freeze(scaler),
-            model=self._freeze(model),
-            version=1,
+        entry = self._successor(
+            self._require(target), model, scaler, extractor, version=1
         )
         # Publish, then drop the alias binding: a reader between the two
         # statements still resolves through the (now shadowed) alias to
@@ -364,12 +289,13 @@ class ModelRegistry:
     # -- lookup --------------------------------------------------------------
 
     def _canonical(self, key: str) -> str:
-        """Follow alias indirection to the canonical model key."""
-        seen = set()
+        """Follow alias indirection to the canonical model key.
+
+        Chains cannot cycle: :meth:`alias` binds only a new key to an
+        existing one, :meth:`promote` only removes aliases, and model
+        keys are never removed.
+        """
         while key in self._aliases:
-            if key in seen:  # unreachable via the public API; defensive
-                raise ServingError(f"alias cycle at {key!r}")
-            seen.add(key)
             key = self._aliases[key]
         return key
 
@@ -382,10 +308,10 @@ class ModelRegistry:
         return versions[-1]
 
     def canonical_key(self, key: str) -> str:
-        """The model key whose entry :meth:`resolve` would serve for ``key``.
+        """The model key whose entry :meth:`resolve` serves for ``key``.
 
-        Follows alias indirection and applies the same ``"default"``
-        fallback as :meth:`resolve`, so ``(canonical_key(key),
+        Follows alias indirection and falls back to ``"default"`` (the
+        one place that rule is written), so ``(canonical_key(key),
         resolve(key).version)`` uniquely identifies a served snapshot —
         the generation token the serving front-end keys its result cache
         by. Versions only grow per canonical key (``swap`` appends,
@@ -411,16 +337,7 @@ class ModelRegistry:
         :class:`~repro.errors.ServingError` when neither ``key`` nor the
         default entry exists.
         """
-        versions = self._models.get(self._canonical(key))
-        if versions is not None:
-            return versions[-1]
-        versions = self._models.get(self._canonical(DEFAULT_KEY))
-        if versions is not None:
-            return versions[-1]
-        raise ServingError(
-            f"unknown model key {key!r} and no {DEFAULT_KEY!r} fallback; "
-            f"registered keys: {self.keys()}"
-        )
+        return self._models[self.canonical_key(key)][-1]
 
     def versions(self, key: str) -> list[ModelEntry]:
         """All versions of ``key`` (aliases follow their target), oldest first."""

@@ -86,29 +86,6 @@ class GridSearchResult:
         :func:`repro.experiments.reporting.format_grid_search`)."""
         return [trial.astuple() for trial in self.trials]
 
-    def summary_table(self, top: int | None = None) -> str:
-        """Fixed-width trials table, best CV MSE first.
-
-        ``top`` truncates to the best N rows; the winning point is
-        marked with ``*``.
-        """
-        ranked = sorted(self.trials, key=lambda t: t.cv_mse)
-        if top is not None:
-            ranked = ranked[:top]
-        header = f"{'':2}{'C':>8}  {'gamma':>8}  {'epsilon':>8}  {'cv_mse':>10}"
-        lines = [header, "-" * len(header)]
-        for trial in ranked:
-            mark = "* " if (
-                trial.c == self.best_c
-                and trial.gamma == self.best_gamma
-                and trial.epsilon == self.best_epsilon
-            ) else "  "
-            lines.append(
-                f"{mark}{trial.c:>8g}  {trial.gamma:>8g}  "
-                f"{trial.epsilon:>8g}  {trial.cv_mse:>10.4f}"
-            )
-        return "\n".join(lines)
-
 
 #: Cap on the stacked-kernel size (elements) of one lockstep batch.
 #: ~256 MB of float64: big enough that the default grid over a few

@@ -217,8 +217,7 @@ class EpsilonSVR:
 
     def __getstate__(self) -> dict:
         # The pad scratch is a pure performance cache: dropping it keeps
-        # pickles (and the registry's snapshot fingerprints, which hash
-        # pickle bytes) identical whether or not a single-row predict ran.
+        # pickles identical whether or not a single-row predict ran.
         state = self.__dict__.copy()
         state["_pad2"] = None
         return state

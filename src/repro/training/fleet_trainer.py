@@ -329,12 +329,16 @@ def train_fleet_registry(
             max_iter=config.max_iter,
         )
         models.append(model.adopt_solution(x_scaled[idx], solution))
-    registry.register_model(
+    # Class entries get the default's frozen scaler/extractor, so the
+    # whole registry serves one svm-scale map.
+    default = registry.register_model(
         DEFAULT_KEY, models[0], scaler=scaler, extractor=extractor
     )
     class_reports: list[ClassModelReport] = []
     for key, model, idx in zip(fitted_keys, models[1:], problems[1:]):
-        registry.register_model(key, model, scaler=scaler, extractor=extractor)
+        registry.register_model(
+            key, model, scaler=default.scaler, extractor=default.extractor
+        )
         predictions = np.atleast_1d(model.predict(x_scaled[idx]))
         class_reports.append(
             ClassModelReport(

@@ -3,15 +3,19 @@
 Every fleet builder in :mod:`repro.experiments.scenarios` compiles a
 document of :mod:`repro.scenarios.library`, so the spec functions are
 where arguments are validated; these tests pin that they reject bad
-arguments before any document is compiled. Output parity with the
-builders the documents replaced is pinned by the golden digests in
-``test_scenario_golden.py``.
+arguments before any document is compiled, and that each builder
+takes exactly its spec's parameters, in order, with the same defaults.
+Output parity with the builders the documents replaced is pinned by the
+golden digests in ``test_scenario_golden.py``.
 """
+
+import inspect
 
 import pytest
 
 from repro.errors import ScenarioSpecError
-from repro.scenarios import cooling_failure_spec, flash_crowd_spec
+from repro.experiments import scenarios
+from repro.scenarios import cooling_failure_spec, flash_crowd_spec, library
 
 
 class TestGuardParity:
@@ -35,3 +39,26 @@ class TestGuardParity:
         for hot_fraction in (1.5, -1.0):
             with pytest.raises(ScenarioSpecError, match="hot_fraction"):
                 flash_crowd_spec(n_servers=8, hot_fraction=hot_fraction)
+
+
+WRAPPED_SPECS = (
+    "diurnal_fleet",
+    "class_balanced_fleet",
+    "model_drift",
+    "migration_storm",
+    "cooling_failure",
+    "thermal_cascade",
+    "flash_crowd",
+)
+
+
+class TestSignatureParity:
+    """Each fleet builder repeats its spec's parameter list; pin them equal."""
+
+    @pytest.mark.parametrize("name", WRAPPED_SPECS)
+    def test_builder_parameters_match_spec(self, name):
+        builder = inspect.signature(getattr(scenarios, f"{name}_scenario"))
+        spec = inspect.signature(getattr(library, f"{name}_spec"))
+        assert [
+            (p.name, p.kind, p.default) for p in builder.parameters.values()
+        ] == [(p.name, p.kind, p.default) for p in spec.parameters.values()]

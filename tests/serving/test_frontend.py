@@ -19,7 +19,7 @@ from repro.serving.frontend import (
     serve_naive,
     serve_trace,
 )
-from repro.serving.ledger import BatchRecord, RequestRecord
+from repro.serving.ledger import BatchRecord, ServingLedger
 from repro.serving.registry import ModelRegistry
 from repro.serving.traces import RequestTrace
 from tests.conftest import make_record
@@ -437,11 +437,14 @@ class TestInvariants:
 
 class TestLedger:
     def test_record_validation(self):
+        ledger = ServingLedger()
         with pytest.raises(ServingError, match="before its arrival"):
-            RequestRecord(
-                request_id=0, key="k", arrival_s=1.0, dispatch_s=0.5,
-                completion_s=2.0, batch_index=0, batch_size=1, cache_hit=False,
-            )
+            ledger.record_request(0, "k", 1.0, 0.5, 2.0, 0, 1, False)
+        with pytest.raises(ServingError, match="before its dispatch"):
+            ledger.record_request(0, "k", 1.0, 1.5, 1.2, 0, 1, False)
+        with pytest.raises(ServingError, match="batch_size must be >= 1"):
+            ledger.record_request(0, "k", 1.0, 1.5, 2.0, 0, 0, False)
+        assert ledger.n_requests == 0  # rejected rows are not appended
         with pytest.raises(ServingError, match="double-counted"):
             BatchRecord(
                 batch_index=0, dispatch_s=0.0, size=3,

@@ -1,5 +1,10 @@
 """Tests for the serving model registry."""
 
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -40,7 +45,7 @@ class TestRegistration:
             entry.predict_records(records), fitted_predictor.predict_many(records)
         )
 
-    def test_register_dedups_snapshots_by_source(self, fitted_predictor):
+    def test_register_copies_a_live_source_every_time(self, fitted_predictor):
         registry = ModelRegistry()
         a = registry.register("rack-a", fitted_predictor)
         b = registry.register_model(
@@ -48,9 +53,12 @@ class TestRegistration:
             fitted_predictor.svr,
             scaler=fitted_predictor.scaler,
         )
-        # Same live source objects -> one shared frozen copy each.
-        assert b.scaler is a.scaler
-        assert b.model is a.model
+        # The caller's live objects are not registry-owned, so each
+        # registration freezes its own copy of them.
+        assert b.scaler is not a.scaler
+        assert b.model is not a.model
+        assert b.scaler is not fitted_predictor.scaler
+        assert b.model is not fitted_predictor.svr
 
     def test_unfitted_predictor_rejected(self):
         registry = ModelRegistry()
@@ -189,64 +197,100 @@ class TestSnapshotCacheFreshness:
         ), "swap published a stale snapshot instead of the refit state"
         assert not np.array_equal(v1_predictions, v2_predictions)
 
-    def test_unchanged_source_still_dedups(self, fitted_predictor):
+
+class TestCopyRule:
+    """A component some entry holds is shared; anything else is copied."""
+
+    def test_registry_owned_component_is_shared(self, fitted_predictor):
         registry = ModelRegistry()
         a = registry.register("rack-a", fitted_predictor)
         b = registry.register_model(
-            "rack-b", fitted_predictor.svr, scaler=fitted_predictor.scaler
+            "rack-b", a.model, scaler=a.scaler, extractor=a.extractor
         )
-        assert b.model is a.model
+        assert b.extractor is a.extractor
         assert b.scaler is a.scaler
+        assert b.model is a.model
+        # Superseded versions still own their components.
+        registry.swap_model("rack-a", copy.deepcopy(fitted_predictor.svr))
+        c = registry.swap_model("rack-b", a.model)
+        assert c.model is a.model
 
-    def test_throwaway_swap_sources_are_pruned(self, fitted_predictor):
+    def test_swap_sources_are_not_retained(self, fitted_predictor):
         """A long-running lifecycle swaps a fresh throwaway model every
-        round — dead sources must not pile up in the dedup cache."""
-        import copy
-        import gc
-
+        round; the registry keeps its copies, never the sources."""
         registry = ModelRegistry()
         registry.register("rack-a", fitted_predictor)
-        for _ in range(5):
-            registry.swap_model("rack-a", copy.deepcopy(fitted_predictor.svr))
+        sources = [copy.deepcopy(fitted_predictor.svr) for _ in range(5)]
+        refs = [weakref.ref(source) for source in sources]
+        for source in sources:
+            registry.swap_model("rack-a", source)
+        del sources, source
         gc.collect()
-        registry.register_model(
-            "rack-b", fitted_predictor.svr, scaler=fitted_predictor.scaler
-        )  # any freeze prunes dead entries
-        for ref, _, _ in registry._snapshots.values():
-            assert ref() is not None, "cache retained a dead source entry"
-        # What remains is the version history's own snapshots plus the
-        # (live) fixture components — not one entry per past swap source.
-        owned = {
-            id(component)
-            for versions in registry._models.values()
-            for entry in versions
-            for component in (entry.extractor, entry.scaler, entry.model)
-        }
-        assert len(registry._snapshots) <= len(owned) + 3
+        assert all(ref() is None for ref in refs)
+        assert registry.current_version("rack-a") == 6
 
-    def test_deepcopy_rebuilds_cache_on_copied_components(self, fitted_predictor):
-        import copy
-
+    def test_deepcopy_keeps_sharing_apart_from_original(self, fitted_predictor):
         registry = ModelRegistry()
-        registry.register("rack-a", fitted_predictor)
-        registry.register_model(
-            "rack-b", fitted_predictor.svr, scaler=fitted_predictor.scaler
-        )
+        a = registry.register("rack-a", fitted_predictor)
+        registry.register_model("rack-b", a.model, scaler=a.scaler)
         registry.alias("rack-c", "rack-a")
         clone = copy.deepcopy(registry)
         entry_a = clone.resolve("rack-a")
         entry_b = clone.resolve("rack-b")
         # Sharing structure survives the copy...
         assert entry_a.scaler is entry_b.scaler
-        assert entry_a.model is not registry.resolve("rack-a").model
+        assert entry_a.model is entry_b.model
         assert clone.resolve("rack-c") is entry_a
-        # ...the copy's cache owns exactly the copied components (no
-        # dangling keys pinned to the originals' ids)...
-        owned = {id(c) for e in (entry_a, entry_b) for c in (e.extractor, e.scaler, e.model)}
-        assert set(clone._snapshots) == owned
+        # ...no component is shared with the original...
+        original = {
+            id(c)
+            for key in registry.keys()
+            for e in registry.versions(key)
+            for c in (e.extractor, e.scaler, e.model)
+        }
+        copied = {
+            id(c)
+            for key in clone.keys()
+            for e in clone.versions(key)
+            for c in (e.extractor, e.scaler, e.model)
+        }
+        assert not original & copied
         # ...and copy-owned components share as-is on swap.
         swapped = clone.swap_model("rack-a", entry_a.model)
         assert swapped.model is entry_a.model
+        assert swapped.scaler is entry_a.scaler
+
+
+class TestSerialization:
+    def test_pickle_round_trip_preserves_registry(self, fitted_predictor):
+        retrained = StableTemperaturePredictor(c=10.0, gamma=0.05, epsilon=0.1).fit(
+            _refit_records()
+        )
+        registry = ModelRegistry()
+        base = registry.register(DEFAULT_KEY, fitted_predictor)
+        registry.register_model("rack-a", retrained.svr, scaler=base.scaler)
+        registry.swap_model("rack-a", fitted_predictor.svr)
+        registry.alias("rack-b", "rack-a")
+        registry.alias("rack-c", "rack-b")
+
+        restored = pickle.loads(pickle.dumps(registry))
+
+        assert restored.keys() == registry.keys()
+        probes = [make_record(psi=None, n_vms=k) for k in (2, 5, 9)]
+        for key in [*registry.keys(), "never-registered"]:
+            assert restored.is_alias(key) == registry.is_alias(key)
+            assert restored.canonical_key(key) == registry.canonical_key(key)
+            assert restored.resolve(key).version == registry.resolve(key).version
+        for key in registry.keys():
+            before, after = registry.versions(key), restored.versions(key)
+            assert [e.version for e in after] == [e.version for e in before]
+            for old, new in zip(before, after):
+                assert np.array_equal(
+                    new.predict_records(probes), old.predict_records(probes)
+                )
+        # Sharing between entries survives the round trip.
+        default = restored.resolve(DEFAULT_KEY)
+        assert restored.resolve("rack-a").scaler is default.scaler
 
 
 class TestSwapAndVersions:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.reporting import format_grid_search
 from repro.rng import RngStream
 from repro.svm.grid import grid_search_svr
 
@@ -98,24 +99,33 @@ class TestGridSearch:
         assert rows == [t.astuple() for t in result.trials]
         assert all(len(row) == 4 for row in rows)
 
-    def test_summary_table_marks_winner(self, data):
-        x, y = data
-        result = grid_search_svr(
-            x, y, c_grid=(1.0, 10.0), gamma_grid=(0.1,), epsilon_grid=(0.1,),
-            n_splits=5,
-        )
-        table = result.summary_table()
-        assert table.count("*") == 1
-        assert f"{result.best_c:g}" in table
-
-    def test_summary_table_top_truncates(self, data):
+    def test_format_grid_search_ranks_best_first_with_winner_line(self, data):
         x, y = data
         result = grid_search_svr(
             x, y, c_grid=(1.0, 10.0), gamma_grid=(0.1, 1.0), epsilon_grid=(0.1,),
             n_splits=5,
         )
-        table = result.summary_table(top=2)
-        assert len(table.splitlines()) == 4  # header + rule + 2 rows
+        lines = format_grid_search(result).splitlines()
+        assert lines[0].split() == ["C", "gamma", "epsilon", "cv", "MSE"]
+        rows = [[float(cell) for cell in line.split()] for line in lines[2:-1]]
+        assert len(rows) == len(result.trials)
+        cv_mses = [row[3] for row in rows]
+        assert cv_mses == sorted(cv_mses)
+        assert rows[0][:3] == [
+            float(f"{v:.3f}")
+            for v in (result.best_c, result.best_gamma, result.best_epsilon)
+        ]
+        assert lines[-1] == result.summary()
+
+    def test_format_grid_search_top_truncates(self, data):
+        x, y = data
+        result = grid_search_svr(
+            x, y, c_grid=(1.0, 10.0), gamma_grid=(0.1, 1.0), epsilon_grid=(0.1,),
+            n_splits=5,
+        )
+        lines = format_grid_search(result, top=2).splitlines()
+        assert len(lines) == 5  # header + rule + 2 rows + winner line
+        assert lines[-1] == result.summary()
 
 
 class TestGridSearchAcceleration:
