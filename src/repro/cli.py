@@ -134,6 +134,13 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _class_key(server) -> str:
+    """A server's hardware-class registry key (the per-class ``key_fn``)."""
+    from repro.training import server_class_key
+
+    return server_class_key(server.spec)
+
+
 def _serve_fleet(registry, scenario, duration: float, threshold: float,
                  key_fn=None) -> None:
     """Serve one fleet scenario with ``registry`` and print the scorecard.
@@ -253,8 +260,6 @@ def _profile_and_train_registry(args: argparse.Namespace, n_classes: int,
 
 
 def _cmd_fleet_train(args: argparse.Namespace) -> int:
-    from repro.training import server_class_key
-
     n_classes = args.classes if args.classes else (4 if args.quick else 16)
     per_class = args.servers_per_class if args.servers_per_class else (
         3 if args.quick else 8
@@ -283,7 +288,7 @@ def _cmd_fleet_train(args: argparse.Namespace) -> int:
             scenario,
             serve_s,
             args.threshold,
-            key_fn=lambda server: server_class_key(server.spec),
+            key_fn=_class_key,
         )
     print(f"\nelapsed {time.time() - started:.1f}s")
     return 0
@@ -435,7 +440,6 @@ def _cmd_fleet_lifecycle(args: argparse.Namespace) -> int:
         RetrainPlannerConfig,
     )
     from repro.management.hotspot import HotspotDetector
-    from repro.training import server_class_key
 
     if args.mae_window < 1:
         print(
@@ -454,7 +458,6 @@ def _cmd_fleet_lifecycle(args: argparse.Namespace) -> int:
     started = time.time()
     _, report = _profile_and_train_registry(args, n_classes, per_class, train_s)
     print(f"  {report.grid.summary()}", file=sys.stderr)
-    key_fn = lambda server: server_class_key(server.spec)  # noqa: E731
 
     scenario = model_drift_scenario(
         n_classes=n_classes, servers_per_class=per_class,
@@ -477,7 +480,7 @@ def _cmd_fleet_lifecycle(args: argparse.Namespace) -> int:
     )
     frozen = run_closed_loop(
         scenario, report.registry, policy=None, config=config,
-        detector=detector, key_fn=key_fn,
+        detector=detector, key_fn=_class_key,
     )
     # The lifecycle arm mutates its registry (swaps publish new
     # versions), so it runs against a deep copy of the trained one.
@@ -490,7 +493,7 @@ def _cmd_fleet_lifecycle(args: argparse.Namespace) -> int:
     )
     managed = run_closed_loop(
         scenario, live_registry, policy=None, config=config,
-        detector=detector, key_fn=key_fn, lifecycle=lifecycle,
+        detector=detector, key_fn=_class_key, lifecycle=lifecycle,
     )
 
     window = args.mae_window
@@ -664,15 +667,28 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_spec_doc(path: str) -> dict:
-    """Read one JSON scenario document from ``path``."""
+def _compile_spec_file(path: str):
+    """Read and compile one JSON scenario document from ``path``.
+
+    Returns the compiled FleetScenario, or None after reporting why the
+    file could not be read or compiled (the caller exits with 2).
+    """
     import json
 
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} must hold one JSON object, got {type(doc).__name__}")
-    return doc
+    from repro.errors import ConfigurationError
+    from repro.scenarios import compile_spec
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"{path} must hold one JSON object, got {type(doc).__name__}"
+            )
+        return compile_spec(doc)
+    except (OSError, ValueError, ConfigurationError) as exc:
+        print(f"fleet-scenario: {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _scenario_lines(scenario) -> list[str]:
@@ -692,14 +708,8 @@ def _scenario_lines(scenario) -> list[str]:
 
 
 def _cmd_scenario_validate(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-    from repro.scenarios import compile_spec
-
-    try:
-        doc = _load_spec_doc(args.spec)
-        scenario = compile_spec(doc)
-    except (OSError, ValueError, ConfigurationError) as exc:
-        print(f"fleet-scenario: {args.spec}: {exc}", file=sys.stderr)
+    scenario = _compile_spec_file(args.spec)
+    if scenario is None:
         return 2
     print(f"{args.spec}: ok")
     for line in _scenario_lines(scenario):
@@ -708,14 +718,8 @@ def _cmd_scenario_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_compile(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-    from repro.scenarios import compile_spec
-
-    try:
-        doc = _load_spec_doc(args.spec)
-        scenario = compile_spec(doc)
-    except (OSError, ValueError, ConfigurationError) as exc:
-        print(f"fleet-scenario: {args.spec}: {exc}", file=sys.stderr)
+    scenario = _compile_spec_file(args.spec)
+    if scenario is None:
         return 2
     for line in _scenario_lines(scenario):
         print(line)

@@ -25,9 +25,6 @@ from repro.experiments.scenarios import (
     build_fleet_simulation,
     build_migration_simulation,
     build_simulation,
-    class_balanced_fleet_scenario,
-    diurnal_fleet_scenario,
-    migration_storm_scenario,
     random_scenario,
     random_scenarios,
 )
@@ -48,12 +45,9 @@ __all__ = [
     "build_fleet_simulation",
     "build_migration_simulation",
     "build_simulation",
-    "class_balanced_fleet_scenario",
-    "diurnal_fleet_scenario",
     "format_fig1a",
     "format_fig1b",
     "format_fig1c",
-    "migration_storm_scenario",
     "profile_records",
     "random_scenario",
     "random_scenarios",

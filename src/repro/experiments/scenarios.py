@@ -8,14 +8,11 @@ two-server migration scenario behind the dynamic case study of Fig. 1(b).
 
 Beyond the paper's single-server cases, :class:`FleetScenario` describes
 cluster-scale workloads for the vectorized fleet engine, materialized by
-:func:`build_fleet_simulation`. The seven fleet builders here
-(:func:`diurnal_fleet_scenario`, :func:`class_balanced_fleet_scenario`,
-:func:`model_drift_scenario`, :func:`migration_storm_scenario`,
-:func:`cooling_failure_scenario`, :func:`thermal_cascade_scenario`,
-:func:`flash_crowd_scenario`) compile the spec documents of
-:mod:`repro.scenarios.library`, where each scenario is defined; they
-import it at call time because ``repro.scenarios`` sits above this
-layer (it compiles onto :class:`FleetScenario`). Fleet scenarios pair
+:func:`build_fleet_simulation`. The seven fleet builders served here
+(``diurnal_fleet_scenario`` and the rest, named in ``_LIBRARY_BUILDERS``)
+are defined in :mod:`repro.scenarios.library`, each bound to the spec
+document it compiles; this module's ``__getattr__`` forwards the names
+to it. Fleet scenarios pair
 naturally with the online prediction service: attach a
 :class:`repro.serving.fleet.FleetPredictionProbe` to the built
 simulation to serve every host's Δ_gap-ahead forecast while it runs
@@ -25,6 +22,7 @@ simulation to serve every host's Δ_gap-ahead forecast while it runs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.config import ExperimentConfig
 from repro.datacenter.cluster import Cluster
@@ -327,123 +325,29 @@ class FleetScenario:
         return sum(len(group) for group in self.vm_specs)
 
 
-def diurnal_fleet_scenario(
-    n_servers: int = 128,
-    seed: int = 90_000,
-    vms_per_server: tuple[int, int] = (2, 5),
-    duration_s: float = 7200.0,
-) -> FleetScenario:
-    """Compile :func:`repro.scenarios.library.diurnal_fleet_spec`."""
-    from repro.scenarios import compile_spec, library
-
-    return compile_spec(library.diurnal_fleet_spec(
-        n_servers, seed, vms_per_server, duration_s
-    ))
+#: The fleet builders bound in :mod:`repro.scenarios.library`, served here.
+_LIBRARY_BUILDERS = frozenset({
+    "diurnal_fleet_scenario",
+    "class_balanced_fleet_scenario",
+    "model_drift_scenario",
+    "migration_storm_scenario",
+    "cooling_failure_scenario",
+    "thermal_cascade_scenario",
+    "flash_crowd_scenario",
+})
 
 
-def class_balanced_fleet_scenario(
-    n_classes: int = 16,
-    servers_per_class: int = 8,
-    seed: int = 92_000,
-    vms_per_server: tuple[int, int] = (2, 5),
-    duration_s: float = 3600.0,
-) -> FleetScenario:
-    """Compile :func:`repro.scenarios.library.class_balanced_fleet_spec`."""
-    from repro.scenarios import compile_spec, library
+def __getattr__(name: str):
+    """Serve the seven fleet builders from :mod:`repro.scenarios.library`.
 
-    return compile_spec(library.class_balanced_fleet_spec(
-        n_classes, servers_per_class, seed, vms_per_server, duration_s
-    ))
+    The import is call-time because ``repro.scenarios`` sits above this
+    layer (it compiles onto :class:`FleetScenario`).
+    """
+    if name in _LIBRARY_BUILDERS:
+        from repro.scenarios import library
 
-
-def model_drift_scenario(
-    n_classes: int = 4,
-    servers_per_class: int = 8,
-    seed: int = 92_000,
-    vms_per_server: tuple[int, int] = (2, 5),
-    duration_s: float = 7200.0,
-    ramp_start_s: float | None = None,
-    ramp_delta_c: float = 6.0,
-    n_ramp_steps: int = 6,
-    ramp_step_s: float | None = None,
-    shift_fraction: float = 0.5,
-    shift_start_s: float | None = None,
-    shift_window_s: float | None = None,
-    second_wave_start_s: float | None = None,
-    second_wave_window_s: float | None = None,
-    second_wave: bool = True,
-) -> FleetScenario:
-    """Compile :func:`repro.scenarios.library.model_drift_spec`."""
-    from repro.scenarios import compile_spec, library
-
-    return compile_spec(library.model_drift_spec(
-        n_classes, servers_per_class, seed, vms_per_server, duration_s,
-        ramp_start_s, ramp_delta_c, n_ramp_steps, ramp_step_s,
-        shift_fraction, shift_start_s, shift_window_s,
-        second_wave_start_s, second_wave_window_s, second_wave,
-    ))
-
-
-def migration_storm_scenario(
-    n_servers: int = 64,
-    seed: int = 91_000,
-    storm_start_s: float = 600.0,
-    storm_window_s: float = 300.0,
-    duration_s: float = 1800.0,
-) -> FleetScenario:
-    """Compile :func:`repro.scenarios.library.migration_storm_spec`."""
-    from repro.scenarios import compile_spec, library
-
-    return compile_spec(library.migration_storm_spec(
-        n_servers, seed, storm_start_s, storm_window_s, duration_s
-    ))
-
-
-def cooling_failure_scenario(
-    n_servers: int = 32,
-    seed: int = 93_000,
-    failure_time_s: float = 600.0,
-    failure_delta_c: float = 8.0,
-    recovery_time_s: float | None = None,
-    duration_s: float = 3600.0,
-    hot_fraction: float = 0.25,
-) -> FleetScenario:
-    """Compile :func:`repro.scenarios.library.cooling_failure_spec`."""
-    from repro.scenarios import compile_spec, library
-
-    return compile_spec(library.cooling_failure_spec(
-        n_servers, seed, failure_time_s, failure_delta_c, recovery_time_s,
-        duration_s, hot_fraction,
-    ))
-
-
-def thermal_cascade_scenario(
-    n_servers: int = 32,
-    seed: int = 94_000,
-    duration_s: float = 3600.0,
-    ambient_c: float = 24.0,
-) -> FleetScenario:
-    """Compile :func:`repro.scenarios.library.thermal_cascade_spec`."""
-    from repro.scenarios import compile_spec, library
-
-    return compile_spec(library.thermal_cascade_spec(
-        n_servers, seed, duration_s, ambient_c
-    ))
-
-
-def flash_crowd_scenario(
-    n_servers: int = 32,
-    seed: int = 95_000,
-    spike_time_s: float = 600.0,
-    duration_s: float = 3600.0,
-    hot_fraction: float = 0.25,
-) -> FleetScenario:
-    """Compile :func:`repro.scenarios.library.flash_crowd_spec`."""
-    from repro.scenarios import compile_spec, library
-
-    return compile_spec(library.flash_crowd_spec(
-        n_servers, seed, spike_time_s, duration_s, hot_fraction
-    ))
+        return getattr(library, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- simulation builders ------------------------------------------------------
@@ -478,14 +382,19 @@ def build_fleet_simulation(
     for start_time_s, vm_name, destination in scenario.migrations:
         migrate_vm(sim, vm_name=vm_name, destination=destination, start_time_s=start_time_s)
     for arrival_time_s, server_name, vm_spec in scenario.arrivals:
-
-        def host(sim, name=server_name, spec=vm_spec, t=arrival_time_s):
-            sim.cluster.server(name).host_vm(Vm(spec), time_s=t)
-
-        sim.schedule(
-            FunctionEvent(arrival_time_s, host, label=f"arrival:{vm_spec.name}")
-        )
+        sim.schedule(FunctionEvent(
+            arrival_time_s,
+            partial(_host_arrival, server_name, vm_spec, arrival_time_s),
+            label=f"arrival:{vm_spec.name}",
+        ))
     return sim
+
+
+def _host_arrival(
+    server_name: str, vm_spec: VmSpec, time_s: float, sim: DatacenterSimulation
+) -> None:
+    """Place an arriving VM (module level, so a built simulation pickles)."""
+    sim.cluster.server(server_name).host_vm(Vm(vm_spec), time_s=time_s)
 
 
 def build_simulation(scenario: ExperimentScenario) -> DatacenterSimulation:

@@ -5,8 +5,8 @@ The scenario path (see ``docs/architecture.md``):
 1. a plain-dict **spec** (:mod:`repro.scenarios.spec`) referencing the
    hardware/VM-type **catalog** (:mod:`repro.scenarios.catalog`) — one
    of the seven fleet scenarios of the **library**
-   (:mod:`repro.scenarios.library`), a fuzzed document, or a user's
-   own — is
+   (:mod:`repro.scenarios.library`, which also binds each spec to its
+   ``*_scenario`` builder), a fuzzed document, or a user's own — is
 2. compiled deterministically onto the existing
    :class:`~repro.experiments.scenarios.FleetScenario`, which
 3. :func:`~repro.experiments.scenarios.build_fleet_simulation` runs

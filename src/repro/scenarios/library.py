@@ -1,10 +1,12 @@
 """The fleet scenario library: one spec document per scenario.
 
 Every fleet-scale scenario the repo ships is defined here once, as a
-plain-dict document for :func:`repro.scenarios.spec.compile_spec`. The
-builders of the same names in :mod:`repro.experiments.scenarios`
-(``diurnal_fleet_scenario`` and the rest) are thin wrappers that
-compile these documents.
+plain-dict document for :func:`repro.scenarios.spec.compile_spec`. Each
+``*_spec`` function is bound, at the end of this module, to its
+``*_scenario`` builder (``diurnal_fleet_scenario`` and the rest), which
+takes the same parameters and returns the compiled
+:class:`~repro.experiments.scenarios.FleetScenario`;
+:mod:`repro.experiments.scenarios` serves the same seven builders.
 
 No function here draws a random number. All sampling happens inside
 the compiler, seeded from the document's ``seed``, on streams the
@@ -17,7 +19,8 @@ document's output bit for bit.
 
 from __future__ import annotations
 
-from typing import Any
+import inspect
+from typing import Any, Callable
 
 from repro.errors import ScenarioSpecError
 from repro.experiments.scenarios import (
@@ -25,6 +28,7 @@ from repro.experiments.scenarios import (
     FAN_COUNT_OPTIONS,
     GHZ_OPTIONS,
     MEMORY_OPTIONS,
+    FleetScenario,
 )
 from repro.scenarios.spec import compile_spec
 
@@ -533,3 +537,36 @@ def flash_crowd_spec(
             },
         ],
     }
+
+
+# -- the fleet builders -------------------------------------------------------
+
+
+def _compiled(
+    spec: Callable[..., dict[str, Any]],
+) -> Callable[..., FleetScenario]:
+    """The ``*_scenario`` builder of ``spec``: its document, compiled.
+
+    The builder takes exactly the spec's parameters (it carries the
+    spec's signature), so each scenario's parameters are written once.
+    """
+
+    def build(*args: Any, **kwargs: Any) -> FleetScenario:
+        return compile_spec(spec(*args, **kwargs))
+
+    name = spec.__name__.removesuffix("_spec") + "_scenario"
+    build.__name__ = build.__qualname__ = name
+    build.__doc__ = f"Compile :func:`{__name__}.{spec.__name__}`."
+    build.__signature__ = inspect.signature(spec).replace(  # type: ignore[attr-defined]
+        return_annotation=FleetScenario
+    )
+    return build
+
+
+diurnal_fleet_scenario = _compiled(diurnal_fleet_spec)
+class_balanced_fleet_scenario = _compiled(class_balanced_fleet_spec)
+model_drift_scenario = _compiled(model_drift_spec)
+migration_storm_scenario = _compiled(migration_storm_spec)
+cooling_failure_scenario = _compiled(cooling_failure_spec)
+thermal_cascade_scenario = _compiled(thermal_cascade_spec)
+flash_crowd_scenario = _compiled(flash_crowd_spec)

@@ -404,6 +404,11 @@ class PredictionFleet:
 ModelKeyFn = Callable[[object], str]
 
 
+def _default_key(server: object) -> str:
+    """Serve every server from the shared default model."""
+    return DEFAULT_KEY
+
+
 class FleetPredictionProbe:
     """Per-step simulation hook running a :class:`PredictionFleet` online.
 
@@ -441,7 +446,7 @@ class FleetPredictionProbe:
     ) -> None:
         self.fleet = fleet
         self._server_filter = set(servers) if servers is not None else None
-        self._key_fn: ModelKeyFn = key_fn or (lambda server: DEFAULT_KEY)
+        self._key_fn: ModelKeyFn = key_fn or _default_key
         # Per fleet-state slot, grown with the cluster: whether the slot
         # is watched, its fleet index (-1 until its first sample tracks
         # it), and its server generation at the last VM-set derivation.

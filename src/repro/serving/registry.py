@@ -340,17 +340,12 @@ class ModelRegistry:
         return self._models[self.canonical_key(key)][-1]
 
     def versions(self, key: str) -> list[ModelEntry]:
-        """All versions of ``key`` (aliases follow their target), oldest first."""
-        versions = self._models.get(self._canonical(key))
-        if versions is None:
-            raise ServingError(
-                f"unknown model key {key!r}; registered keys: {self.keys()}"
-            )
-        return list(versions)
+        """All versions of the model :meth:`resolve` serves for ``key``, oldest first."""
+        return list(self._models[self.canonical_key(key)])
 
     def current_version(self, key: str) -> int:
-        """Version number currently served for ``key``."""
-        return self._require(key).version
+        """Version number :meth:`resolve` currently serves for ``key``."""
+        return self.resolve(key).version
 
     def keys(self) -> list[str]:
         """All registered keys (models and aliases), sorted."""

@@ -1,5 +1,7 @@
 """Unit tests for scenario generation."""
 
+import pickle
+
 import pytest
 
 from repro.datacenter.server import ResourceCapacity, Server, ServerSpec
@@ -325,6 +327,40 @@ class TestControlStressScenarios:
         for hot_fraction in (1.5, -1.0):
             with pytest.raises(ConfigurationError, match="hot_fraction"):
                 flash_crowd_scenario(n_servers=8, hot_fraction=hot_fraction)
+
+
+class TestFleetSimulationPickles:
+    """A built fleet simulation is plain data: it pickles, and the copy
+    runs on bit for bit like the original."""
+
+    @staticmethod
+    def _final_bits(sim) -> list[str]:
+        telemetry = sim.telemetry
+        bits = []
+        for name in telemetry.server_names:
+            bundle = telemetry.for_server(name)
+            for series in (bundle.cpu_temperature, bundle.utilization,
+                           bundle.vm_count, bundle.fan_speed):
+                bits.extend(float(t).hex() for t in series.times_array())
+                bits.extend(float(v).hex() for v in series.values_array())
+            thermal = sim.cluster.server(name).thermal
+            bits.append(thermal.cpu_temperature_c.hex())
+            bits.append(thermal.case_temperature_c.hex())
+        return bits
+
+    @pytest.mark.parametrize("pickled_at_s", [0.0, 150.0])
+    def test_flash_crowd_copy_runs_bitwise(self, pickled_at_s):
+        scenario = flash_crowd_scenario(
+            n_servers=8, duration_s=900.0, spike_time_s=300.0
+        )
+        sim = build_fleet_simulation(scenario)
+        if pickled_at_s:
+            sim.run(pickled_at_s)
+        copy = pickle.loads(pickle.dumps(sim))
+        sim.run(scenario.duration_s - pickled_at_s)
+        copy.run(scenario.duration_s - pickled_at_s)
+        assert len(sim.cluster.server("server-000").vms) == 5  # crowd landed
+        assert self._final_bits(copy) == self._final_bits(sim)
 
 
 class TestFleetScenarioValidation:

@@ -2,6 +2,8 @@
 scalar predictors, Δ_update semantics, retargeting, hotspot wiring, and
 the simulation probe."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -372,3 +374,20 @@ class TestProbeIntegration:
         sim.run(120.0)
         assert fleet.names == ["s1"]
         assert len(sim.telemetry.for_server("s0").predicted_cpu_temperature) == 0
+
+    def test_default_keyed_probe_pickles(self, registry):
+        """A probe with the default key function survives a pickle round
+        trip attached to its simulation, and both copies forecast alike."""
+        sim = _build_sim()
+        FleetPredictionProbe(PredictionFleet(registry)).attach(sim)
+        sim.run(120.0)
+        copy = pickle.loads(pickle.dumps(sim))
+        sim.run(280.0)
+        copy.run(280.0)
+        for name in ("s0", "s1", "s2"):
+            original = sim.telemetry.for_server(name).predicted_cpu_temperature
+            restored = copy.telemetry.for_server(name).predicted_cpu_temperature
+            assert len(original) > 0
+            assert [v.hex() for v in restored.values] == [
+                v.hex() for v in original.values
+            ]

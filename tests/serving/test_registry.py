@@ -371,6 +371,22 @@ class TestSwapAndVersions:
         with pytest.raises(ServingError, match="unknown model key"):
             registry.versions("missing")
 
+    def test_unregistered_key_reports_default_history(self, fitted_predictor):
+        registry = ModelRegistry()
+        default = registry.register(DEFAULT_KEY, fitted_predictor)
+        assert registry.resolve("never-registered") is default
+        assert registry.current_version("never-registered") == 1
+        assert registry.versions("never-registered") == [default]
+
+    def test_unregistered_key_follows_default_swap(
+        self, fitted_predictor, retrained
+    ):
+        registry = ModelRegistry()
+        v1 = registry.register(DEFAULT_KEY, fitted_predictor)
+        v2 = registry.swap(DEFAULT_KEY, retrained)
+        assert registry.current_version("never-registered") == 2
+        assert registry.versions("never-registered") == [v1, v2]
+
 
 class TestEntryPrediction:
     def test_predict_records_matches_predictor(self, fitted_predictor):
